@@ -54,13 +54,10 @@ from .permutation import (
 )
 from .search import (
     ConfidenceSet,
-    SearchState,
     alpha_star_schedule,
     rm_search,
     search_all_methods,
-    rm_update,
     step_constant,
-    write_trace,
 )
 from .simulate import (
     DgpSpec,

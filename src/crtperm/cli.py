@@ -122,8 +122,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--config", required=True, help="analysis config JSON")
     p_an.add_argument("--out", required=True, help="output JSON path")
     p_an.add_argument("--trace", help="optional search trace CSV path")
-    p_an.add_argument("--threads", type=int, default=None,
-                      help="worker cap (or env CRTPERM_THREADS)")
     p_an.set_defaults(func=cmd_analyze)
 
     p_sim = sub.add_parser("simulate", help="run a simulation study")

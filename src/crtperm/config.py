@@ -18,6 +18,10 @@ The JSON layout understood by :meth:`AnalysisConfig.from_dict`::
       "covariance": {"source": "estimate"}
     }
 
+``alpha`` must lie in (0, 0.5), ``seed`` must be non-negative, the
+counts must be whole numbers, and ``n_search_steps`` must be at least
+100; a config that breaks any of these is a :class:`ConfigError`.
+
 ``covariance.source`` may instead be ``"fixed"`` with explicit
 ``structure`` / ``sigma2`` / ``tau2`` / ``lambda`` entries, which are
 used verbatim for the weighted statistic.
@@ -29,6 +33,7 @@ from dataclasses import dataclass, field
 
 from .data import OutcomeSpec
 from .errors import ConfigError
+from .search import MIN_SEARCH_STEPS
 
 METHODS = ("naive", "none", "bonferroni", "holm", "romano_wolf")
 PERMUTATION_METHODS = ("none", "bonferroni", "holm", "romano_wolf")
@@ -42,6 +47,46 @@ def _require(d: dict, key: str):
     if key not in d:
         raise ConfigError(f"missing field: {key}")
     return d[key]
+
+
+def _number(d: dict, key: str, default: float) -> float:
+    """``d[key]`` (or the default) as a float; anything but a JSON number is an error."""
+    value = d.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
+def _integer(d: dict, key: str, default: int) -> int:
+    """``d[key]`` (or the default) as an int; it must be a whole JSON number."""
+    value = _number(d, key, default)
+    if not value.is_integer():
+        raise ConfigError(f"{key} must be a whole number, got {d[key]!r}")
+    return int(value)
+
+
+def validate_run_settings(
+    alpha: float, methods, seed: int, n_permutations: int, n_search_steps: int
+) -> None:
+    """Checks shared by analysis configs and study definitions.
+
+    The search's step constant needs alpha* < 0.5, and alpha* never
+    exceeds alpha; seeds seed numpy's SeedSequence, which takes no
+    negative entropy.
+    """
+    if not isinstance(methods, (list, tuple)):
+        raise ConfigError(f"methods must be a list of method names, got {methods!r}")
+    for m in methods:
+        if m not in METHODS:
+            raise ConfigError(f"unknown method: {m!r}")
+    if not 0 < alpha < 0.5:
+        raise ConfigError(f"alpha must be in (0, 0.5), got {alpha}")
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
+    if n_permutations < 1:
+        raise ConfigError("n_permutations must be >= 1")
+    if n_search_steps < MIN_SEARCH_STEPS:
+        raise ConfigError(f"n_search_steps must be >= {MIN_SEARCH_STEPS}, got {n_search_steps}")
 
 
 @dataclass
@@ -62,17 +107,14 @@ class AnalysisConfig:
     covariance_fixed: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if not 0 < self.alpha < 1:
-            raise ConfigError(f"alpha must be in (0, 1), got {self.alpha}")
-        for m in self.methods:
-            if m not in METHODS:
-                raise ConfigError(f"unknown method: {m!r}")
+        validate_run_settings(
+            self.alpha, self.methods, self.seed, self.n_permutations, self.n_search_steps
+        )
+        self.methods = tuple(self.methods)
         if self.statistic not in STATISTIC_KINDS:
             raise ConfigError(f"unknown statistic kind: {self.statistic!r}")
         if self.sided not in SIDES:
             raise ConfigError(f"unknown sidedness: {self.sided!r}")
-        if self.n_permutations < 1:
-            raise ConfigError("n_permutations must be >= 1")
         if self.covariance_source not in ("estimate", "fixed"):
             raise ConfigError(
                 f"covariance source must be 'estimate' or 'fixed', got "
@@ -110,13 +152,13 @@ class AnalysisConfig:
             time_col=columns.get("time"),
             covariate_cols=tuple(columns.get("covariates", ())),
             outcome_specs=tuple(specs),
-            alpha=float(d.get("alpha", 0.05)),
-            methods=tuple(d.get("methods", ("none", "bonferroni", "holm", "romano_wolf"))),
+            alpha=_number(d, "alpha", 0.05),
+            methods=d.get("methods", ("none", "bonferroni", "holm", "romano_wolf")),
             statistic=d.get("statistic", "unweighted"),
             sided=d.get("sided", "two_sided"),
-            n_permutations=int(d.get("n_permutations", 1000)),
-            n_search_steps=int(d.get("n_search_steps", 2000)),
-            seed=int(d.get("seed", 1)),
+            n_permutations=_integer(d, "n_permutations", 1000),
+            n_search_steps=_integer(d, "n_search_steps", 2000),
+            seed=_integer(d, "seed", 1),
             covariance_source=cov.get("source", "estimate"),
             covariance_fixed={k: v for k, v in cov.items() if k != "source"},
         )

@@ -152,14 +152,6 @@ def nuisance_design(dataset: TrialDataset) -> tuple[np.ndarray, tuple[str, ...]]
     return result
 
 
-def linear_predictor_at(
-    dataset: TrialDataset, coefs: np.ndarray, delta: float
-) -> np.ndarray:
-    """Linear predictor for given nuisance coefficients and effect value."""
-    X, _ = nuisance_design(dataset)
-    return X @ coefs + delta * dataset.treatment
-
-
 def _initial_eta(y: np.ndarray, family: str, link: str) -> np.ndarray:
     if link == "identity":
         return y.astype(float)

@@ -14,10 +14,32 @@ proportional to the current distance between the limit and the point
 estimate.
 
 Upper and lower limits run as two independent chains of Q steps each.
-The permutation draws depend only on (seed, side, step), never on the
-method, so several methods can be searched simultaneously on identical
-draw sequences; ``rm_search`` is the one-method entry point and the
-study driver batches all methods through the same chain loop.
+Their permutation draws depend only on (seed, side, step), never on
+the method, so all methods are searched together on identical draws.
+
+One step evaluates every (method, outcome) chain at once.  The chains'
+(cluster, period) cell tables form one (M, J, C, T) array; signing it
+under the observed and the drawn allocation stacks the cluster
+contributions as (2, M, J, C), reduced over clusters in one fixed
+order, so an allocation whose contributions equal or negate the
+observed ones ties with it exactly.  The tables come from three sources:
+
+- identity links are affine in the candidate limit delta: after a
+  refit at delta_r the table is ``R0 + delta_r * HD - delta * Dtab``,
+  the cell totals of y - Hy, HD and D (H the nuisance hat matrix),
+  built once per outcome;
+- log and logit links sum y - h(X beta + delta D) into cells with one
+  ``bincount`` over offset cell keys;
+- the weighted statistic applies inverse working covariances, built
+  once per outcome, with one batched ``matmul`` per distinct cluster
+  size, then the link-derivative weights G (one under the identity
+  link, whose three tables carry the inverse already).
+
+A chain refits its nuisance parameters only when its limit has moved
+more than ``REFIT_FRACTION`` standard errors since its last refit.
+Decision and update are one masked routine over the (M, J) array,
+:class:`StepRule`, which also pulls a chain whose statistic is not
+finite, or whose refit failed, halfway toward its point estimate.
 """
 
 from __future__ import annotations
@@ -30,22 +52,17 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 from scipy.stats import norm
 
-from .corrections import single_step_decision
 from .data import TrialDataset
 from .errors import NumericalError
-from .glm import (
-    FittedMeanModel,
-    irls_fit,
-    link_inverse,
-    mean_derivative,
-    nuisance_design,
-)
-from .statistics import SignedAllocation, row_sums_exact
+from .glm import FittedMeanModel, irls_fit, link_inverse, mean_derivative, nuisance_design
 
 #: relative tolerance of the nuisance-refresh rule: refit when the
 #: candidate limit has moved more than this many standard errors since
 #: the last refit
 REFIT_FRACTION = 0.1
+
+#: fewest steps per chain the search accepts
+MIN_SEARCH_STEPS = 100
 
 TRACE_COLUMNS = ("side", "q", "outcome", "limit", "rejected", "s_j")
 
@@ -91,83 +108,85 @@ def alpha_star_schedule(
     raise ValueError(f"unknown correction method: {method!r}")
 
 
-def _update_one(
-    limit: float, theta_j: float, alpha_star: float, rejected: bool,
-    sgn: float, q: int,
-) -> tuple[float, float]:
-    """One scalar limit update; returns (new limit, step scale s_j)."""
-    s_j = step_constant(alpha_star) * sgn * (limit - theta_j)
-    if rejected:
-        limit -= sgn * s_j * alpha_star / q
-    else:
-        limit += sgn * s_j * (1.0 - alpha_star) / q
-    eps = 1e-6 * max(1.0, abs(theta_j))
-    if sgn * (limit - theta_j) <= 0.0:
-        limit = theta_j + sgn * eps
-    return limit, s_j
+class StepRule:
+    """One Robbins-Monro decision and update for every (method, outcome) chain.
 
-
-@dataclass
-class SearchState:
-    """Mutable state of the limit search.
-
-    ``u`` and ``l`` hold the current upper and lower candidate limits;
-    ``q`` is the current step (1-based).  ``trace`` collects per-step
-    records (side, q, outcome, limit, rejected, step length scale) when
-    tracing is enabled.
+    Row m of the (M, J) arrays belongs to ``methods[m]``; ``theta``
+    holds the J point estimates.  A chain rejects when its permuted
+    |statistic| is strictly below the observed one; the stepdown rows
+    instead walk the outcomes by decreasing observed |statistic| and
+    reject while the largest permuted value among the outcomes not yet
+    visited stays below, and the holm rows take alpha* from the
+    multiplier ladder in that same order.  Only the good chains take
+    part in a step's ordering and walk.
     """
 
-    u: np.ndarray
-    l: np.ndarray
-    point_estimates: np.ndarray
-    alpha: float
-    method: str
-    Q: int
-    q: int = 0
-    trace: list | None = None
-
-    def limits(self, side: str) -> np.ndarray:
-        return self.u if side == "upper" else self.l
-
-
-def rm_update(
-    state: SearchState,
-    reject_flags: np.ndarray,
-    side: str,
-    order: np.ndarray | None = None,
-    mask: np.ndarray | None = None,
-) -> SearchState:
-    """Apply one Robbins-Monro update to the given side's limits.
-
-    For the upper side, a rejection moves the limit down by
-    s_j * alpha* / q and a non-rejection moves it up by
-    s_j * (1 - alpha*) / q, with s_j = k * (u_j - point_estimate_j)
-    recomputed from the current limit; the lower side mirrors the
-    signs.  A limit that would cross its point estimate is clamped just
-    outside it, preserving a positive step scale.  ``mask``, when
-    given, restricts the update to a subset of outcomes (used when a
-    statistic could not be evaluated this step).
-    """
-    if side not in ("upper", "lower"):
-        raise ValueError(f"side must be 'upper' or 'lower', got {side!r}")
-    sgn = 1.0 if side == "upper" else -1.0
-    limits = state.limits(side)
-    theta = state.point_estimates
-    q = state.q
-    if q < 1:
-        raise ValueError("state.q must be >= 1 before updating")
-    stars = alpha_star_schedule(state.method, state.alpha, len(limits), order)
-    for j in range(len(limits)):
-        if mask is not None and not mask[j]:
-            continue
-        limits[j], s_j = _update_one(
-            limits[j], theta[j], stars[j], bool(reject_flags[j]), sgn, q
+    def __init__(self, methods: list[str], alpha: float, theta: np.ndarray):
+        self.theta = np.asarray(theta, dtype=float)
+        J = len(self.theta)
+        self.rows = np.arange(len(methods))[:, None]
+        self.holm = np.array([m == "holm" for m in methods])[:, None]
+        self.stepdown = np.array([m == "romano_wolf" for m in methods])[:, None]
+        self.ordered = bool(self.holm.any() or self.stepdown.any())
+        # the holm rows' placeholders are replaced from the ladder every step
+        stars = np.array(
+            [alpha_star_schedule("none" if m == "holm" else m, alpha, J) for m in methods]
         )
-        if state.trace is not None:
-            state.trace.append(
-                (side, q, j, float(limits[j]), bool(reject_flags[j]), float(s_j))
-            )
-    return state
+        self.levels = _levels(stars)
+        self.ladder = _levels(np.array([alpha / (J - r) for r in range(J)]))
+        eps = 1e-6 * np.maximum(1.0, np.abs(self.theta))
+        self.clamp = {1.0: self.theta + eps, -1.0: self.theta - eps}
+
+    def update(
+        self,
+        limits: np.ndarray,
+        stats: np.ndarray,
+        good: np.ndarray | None,
+        sgn: float,
+        q: int,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Decide and move the (M, J) ``limits`` at step ``q``.
+
+        ``stats`` stacks the observed and the permuted statistics,
+        shape (2, M, J); ``good`` marks the chains that take a step
+        (None: all of them); ``sgn`` is +1 on the upper side and -1 on
+        the lower.  A good chain moves by -sgn * s * alpha* / q on a
+        rejection and by sgn * s * (1 - alpha*) / q otherwise, with
+        s = k(alpha*) * sgn * (limit - theta); a limit that would cross
+        its point estimate is clamped just outside it.  Any other chain
+        is pulled halfway toward its point estimate instead.  Returns
+        the new limits, the reject flags and the step scales s.
+        """
+        a = np.abs(stats)
+        if good is not None:
+            a = np.where(good, a, -np.inf)
+        a_obs, a_perm = a
+        flags = a_perm < a_obs
+        levels = self.levels
+        if self.ordered:
+            order = np.argsort(-a_obs, axis=1, kind="stable")
+            rank = np.argsort(order, axis=1)
+            sorted_obs, sorted_perm = a[:, self.rows, order]
+            suffix = np.maximum.accumulate(sorted_perm[:, ::-1], axis=1)[:, ::-1]
+            walk = np.logical_and.accumulate(suffix < sorted_obs, axis=1)
+            flags = np.where(self.stepdown, walk[self.rows, rank], flags)
+            levels = np.where(self.holm, self.ladder[:, rank], levels)
+        reject_frac, accept_frac, k = levels
+        # k * (limit - theta) equals sgn * s exactly: sgn is +-1
+        ks = k * (limits - self.theta)
+        stepped = limits + ks * np.where(flags, reject_frac, accept_frac) / q
+        crossed = stepped <= self.theta if sgn > 0 else stepped >= self.theta
+        stepped = np.where(crossed, self.clamp[sgn], stepped)
+        if good is not None:
+            stepped = np.where(good, stepped, 0.5 * (limits + self.theta))
+        return stepped, flags, sgn * ks
+
+
+def _levels(stars: np.ndarray) -> np.ndarray:
+    """Per level alpha*: the step fractions -alpha* and 1 - alpha*, and k(alpha*)."""
+    return np.stack(
+        [-stars, 1.0 - stars, np.vectorize(step_constant, otypes=[float])(stars)]
+    )
 
 
 @dataclass
@@ -188,69 +207,180 @@ class ConfidenceSet:
     trace: list | None = field(default=None, repr=False)
 
 
-def _prepare_covariance_factors(dataset, covariances):
-    factors = []
+def _size_groups(dataset) -> list[tuple[list[int], np.ndarray]]:
+    """Clusters grouped by size: (cluster indices, (C_g, s_g) observation indices)."""
+    by_size: dict[int, list[int]] = {}
     for c, idx in enumerate(dataset.cluster_obs_indices):
-        Vc = covariances[c]
-        try:
-            factors.append(cho_factor(Vc, lower=True))
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(
-                f"singular covariance matrix for cluster "
-                f"{dataset.cluster_labels[c]!r}"
-            ) from exc
-    return factors
+        by_size.setdefault(len(idx), []).append(c)
+    return [
+        (clusters, np.stack([dataset.cluster_obs_indices[c] for c in clusters]))
+        for clusters in by_size.values()
+    ]
 
 
-def _constrained_fit(dataset, j, delta_star) -> FittedMeanModel:
-    return irls_fit(dataset, j, delta_fixed=float(delta_star))
+def _inverse_blocks(dataset, covariances, groups) -> list[np.ndarray]:
+    """Inverse working covariances, one (J, C_g, s_g, s_g) stack per size group."""
+    inverses: list[list[np.ndarray]] = []
+    for outcome_covariances in covariances:
+        inverses.append([])
+        for c, V in enumerate(outcome_covariances):
+            try:
+                fac = cho_factor(V, lower=True)
+            except np.linalg.LinAlgError as exc:
+                raise NumericalError(
+                    f"singular covariance matrix for cluster "
+                    f"{dataset.cluster_labels[c]!r}"
+                ) from exc
+            inverses[-1].append(cho_solve(fac, np.eye(len(V))))
+    return [np.array([[inv[c] for c in clusters] for inv in inverses])
+            for clusters, _ in groups]
 
 
-def _cell_indicator(dataset) -> np.ndarray:
-    """Dense one-hot map from observations to (cluster, period) cells."""
-    A = dataset._cache.get("cell_indicator")
-    if A is None:
-        cells = dataset.n_clusters * dataset.n_periods
-        A = np.zeros((cells, dataset.n_obs))
-        A[dataset.group_key, np.arange(dataset.n_obs)] = 1.0
-        dataset._cache["cell_indicator"] = A
-    return A
+def _solve_blocks(values, groups, inverses) -> np.ndarray:
+    """Each cluster's block of ``values`` (K, L, n) times its inverse covariance.
+
+    ``inverses[g]`` has shape (K, C_g, s_g, s_g): one stack per leading
+    row, so one ``matmul`` serves every cluster of one size.
+    """
+    out = np.empty_like(values)
+    for (_, idx), inv in zip(groups, inverses):
+        out[:, :, idx] = np.matmul(values[:, :, idx].swapaxes(1, 2), inv).swapaxes(1, 2)
+    return out
 
 
-class _ChainBlock:
-    """Fitting state for all methods' chains on one side, one outcome."""
+@dataclass
+class _Nuisance:
+    """One side's nuisance fits: where each chain last refitted, and the fits."""
 
-    def __init__(self, dataset, j, n_methods, X_nuis):
-        self.j = j
-        self.spec = dataset.outcome_specs[j]
-        self.y = dataset.outcomes[:, j]
-        self.X_nuis = X_nuis
-        self.eta_base = np.empty((n_methods, dataset.n_obs))
-        self.last_refit = np.empty(n_methods)
-        self._warm: dict[int, np.ndarray] = {}
-        self._pinv = None
-        if self.spec.family == "gaussian" and self.spec.link == "identity":
-            pinv = dataset._cache.get("nuisance_pinv")
-            if pinv is None:
-                pinv = np.linalg.pinv(X_nuis)
-                dataset._cache["nuisance_pinv"] = pinv
-            self._pinv = pinv
-            self._D = dataset.treatment.astype(float)
+    refit_at: np.ndarray  # (M, J) candidate limit of each chain's last refit
+    eta_base: np.ndarray  # (J_fitted, M, n) X @ beta of the fitted outcomes
+    warm: dict = field(default_factory=dict)
 
-    def refresh(self, dataset, m, delta_star):
-        if self._pinv is not None:
-            # identity link: the constrained fit is least squares on the
-            # offset-subtracted outcome, solvable with one cached
-            # pseudoinverse multiply
-            beta = self._pinv @ (self.y - delta_star * self._D)
-        else:
-            beta = irls_fit(
-                dataset, self.j, delta_fixed=float(delta_star),
-                start=self._warm.get(m),
-            ).nuisance_coefs
-            self._warm[m] = beta
-        self.eta_base[m] = self.X_nuis @ beta
-        self.last_refit[m] = delta_star
+
+class _StepKernel:
+    """Every chain's observed and permuted statistic at one search step."""
+
+    def __init__(self, dataset: TrialDataset, kind: str, covariances, n_methods: int):
+        design = dataset.design
+        specs = dataset.outcome_specs
+        J, n = dataset.n_outcomes, dataset.n_obs
+        C, T = design.n_clusters, design.n_periods
+        self.dataset = dataset
+        self.M = n_methods
+        self.cells = (C, T)
+        self.X, _ = nuisance_design(dataset)
+        self.D = dataset.treatment.astype(float)
+        self.affine_mask = np.array([spec.link == "identity" for spec in specs])
+        affine = [j for j in range(J) if self.affine_mask[j]]
+        self.fitted = [j for j in range(J) if not self.affine_mask[j]]
+        self.links = [specs[j].link for j in self.fitted]
+        self.weighted = kind == "weighted"
+        if self.weighted:
+            self.groups = _size_groups(dataset)
+            inverses = _inverse_blocks(dataset, covariances, self.groups)
+
+        # identity-link rows: (y - Hy, HD, D); other outcomes' rows stay zero
+        vecs = np.zeros((J, 3, n))
+        if affine:
+            y = dataset.outcomes[:, affine]
+            Z = np.column_stack([self.D, y])
+            HZ = self.X @ np.linalg.lstsq(self.X, Z, rcond=None)[0]
+            vecs[affine, 0] = (y - HZ[:, 1:]).T
+            vecs[affine, 1] = HZ[:, 0]
+            vecs[affine, 2] = self.D
+            if self.weighted:
+                vecs = _solve_blocks(vecs, self.groups, inverses)
+        tabs = np.array([[dataset.cell_totals(v) for v in row] for row in vecs])
+        self.R0, self.HD, self.Dtab = tabs[:, 0], tabs[:, 1], tabs[:, 2]
+
+        if self.fitted:
+            self.y = dataset.outcomes[:, self.fitted].T[:, None, :]
+            rows = len(self.fitted) * n_methods
+            self.n_bins = rows * C * T
+            self.keys = (
+                np.arange(rows)[:, None] * (C * T) + dataset.group_key[None, :]
+            ).ravel()
+            if self.weighted:
+                self.inverses = [inv[self.fitted] for inv in inverses]
+
+    def start(self, limits: np.ndarray) -> _Nuisance:
+        """Fit every chain's nuisance parameters at its starting limit."""
+        state = _Nuisance(
+            refit_at=limits.copy(),
+            eta_base=np.empty((len(self.fitted), self.M, self.dataset.n_obs)),
+        )
+        for i, j in enumerate(self.fitted):
+            for m in range(self.M):
+                self._refit(state, m, i, limits[m, j])
+        return state
+
+    def _refit(self, state: _Nuisance, m: int, i: int, delta: float) -> None:
+        j = self.fitted[i]
+        beta = irls_fit(
+            self.dataset, j, delta_fixed=float(delta), start=state.warm.get((m, i))
+        ).nuisance_coefs
+        state.warm[(m, i)] = beta
+        state.eta_base[i, m] = self.X @ beta
+        state.refit_at[m, j] = delta
+
+    def refresh(self, state: _Nuisance, limits: np.ndarray, tol: np.ndarray):
+        """Refit the chains whose limit moved more than ``tol`` since their last refit.
+
+        Returns None when every refit succeeded, else an (M, J) mask
+        that is False where one failed.
+        """
+        stale = np.abs(limits - state.refit_at) > tol
+        if not stale.any():
+            return None
+        moved = stale & self.affine_mask
+        state.refit_at[moved] = limits[moved]
+        ok = None
+        for i, j in enumerate(self.fitted):
+            for m in np.flatnonzero(stale[:, j]):
+                try:
+                    self._refit(state, m, i, limits[m, j])
+                except NumericalError:
+                    if ok is None:
+                        ok = np.ones(limits.shape, dtype=bool)
+                    ok[m, j] = False
+        return ok
+
+    def tables(self, limits: np.ndarray, state: _Nuisance) -> np.ndarray:
+        """Cell tables of every chain at its candidate limit, shape (M, J, C, T)."""
+        tab = (
+            self.R0 + state.refit_at[..., None, None] * self.HD
+            - limits[..., None, None] * self.Dtab
+        )
+        if self.fitted:
+            eta = state.eta_base + limits[:, self.fitted].T[:, :, None] * self.D
+            resid = np.empty_like(eta)
+            for i, link in enumerate(self.links):
+                resid[i] = self.y[i] - link_inverse(eta[i], link)
+            if self.weighted:
+                resid = _solve_blocks(resid, self.groups, self.inverses)
+                for i, link in enumerate(self.links):
+                    resid[i] *= 1.0 / mean_derivative(eta[i], link)
+            sums = np.bincount(self.keys, weights=resid.ravel(), minlength=self.n_bins)
+            tab[:, self.fitted] = sums.reshape(
+                (len(self.fitted), self.M) + self.cells
+            ).swapaxes(0, 1)
+        return tab
+
+    def evaluate(self, limits: np.ndarray, state: _Nuisance, signs: np.ndarray) -> np.ndarray:
+        """Observed and permuted statistics of every chain, shape (2, M, J).
+
+        ``signs`` holds the (C, T) treatment signs (+1 treated, -1 not)
+        of the observed and of the permuted allocation, shape (2, C, T).
+        Cluster contributions accumulate period by period, as in
+        :func:`crtperm.statistics.stats_from_cell_table`.
+        """
+        with np.errstate(over="ignore", invalid="ignore"):
+            tab = self.tables(limits, state)
+            signs = signs[:, None, None]
+            cs = signs[..., 0] * tab[..., 0]
+            for t in range(1, tab.shape[-1]):
+                cs = cs + signs[..., t] * tab[..., t]
+            return cs.sum(axis=-1) / np.sqrt((cs * cs).sum(axis=-1))
 
 
 def _search_limits(
@@ -265,8 +395,8 @@ def _search_limits(
     trace: bool,
 ) -> dict[str, ConfidenceSet]:
     """Run the upper and lower chains for several methods on shared draws."""
-    if Q < 100:
-        raise ValueError("the search needs at least 100 steps")
+    if Q < MIN_SEARCH_STEPS:
+        raise ValueError(f"the search needs at least {MIN_SEARCH_STEPS} steps")
     if dataset.design is None:
         raise ValueError("dataset has no validated design")
     if kind not in ("unweighted", "weighted"):
@@ -283,148 +413,39 @@ def _search_limits(
     # guard against degenerate fits: the step scale must stay positive
     ses = np.maximum(ses, 1e-9 * np.maximum(1.0, np.abs(theta)))
 
-    factor_lists = None
-    if kind == "weighted":
-        factor_lists = [
-            _prepare_covariance_factors(dataset, covariances[j]) for j in range(J)
-        ]
-
     C = design.n_clusters
     k_treated = design.arm_sizes[1]
     if k_treated in (0, C):
         raise NumericalError(
             f"cannot permute a design with an empty arm (arm sizes {design.arm_sizes})"
         )
-    X_nuis, _ = nuisance_design(dataset)
-    D = dataset.treatment.astype(float)
-    A = _cell_indicator(dataset)
-    T = dataset.n_periods
-    # cluster-period sign pattern: treated clusters are +1 from the
-    # scheme's start period on, everything else -1, so the signed
-    # cluster sum is -(row total) + 2 * (tail total) on treated rows
-    tail_start = design.treatment_start_period - 1
-    treated_obs = np.fromiter(SignedAllocation.observed(dataset).treated, dtype=np.intp)
+    rule = StepRule(methods, alpha, theta)
+    kernel = _StepKernel(dataset, kind, covariances, M)
+    tol = REFIT_FRACTION * ses
+    start = design.treatment_start_period - 1
+    signs = -np.ones((2, C, design.n_periods))
+    signs[0, dataset.treatment_matrix.any(axis=1), start:] = 1.0
 
     traces: list[list] | None = [[] for _ in methods] if trace else None
-    final = {"upper": None, "lower": None}
-
-    # per-method testing levels and step constants; the step-down
-    # multiplier ladder is reassigned every step from the current
-    # statistic ordering, everything else is static
-    arange_J = np.arange(J)
-    stars_mat = np.empty((M, J))
-    k_mat = np.empty((M, J))
-    holm_rows = [m for m, meth in enumerate(methods) if meth == "holm"]
-    rw_rows = [m for m, meth in enumerate(methods) if meth == "romano_wolf"]
-    for m, meth in enumerate(methods):
-        if meth != "holm":
-            stars_mat[m] = alpha_star_schedule(meth, alpha, J)
-            k_mat[m] = [step_constant(a) for a in stars_mat[m]]
-    ladder_stars = np.array([alpha / (J - r) for r in range(J)])
-    ladder_k = np.array([step_constant(a) for a in ladder_stars])
-    eps_vec = 1e-6 * np.maximum(1.0, np.abs(theta))
-
+    final = {}
     for side, stream in (("upper", 0), ("lower", 1)):
         sgn = 1.0 if side == "upper" else -1.0
         rng = np.random.default_rng((int(seed), stream))
         limits = np.tile(theta + sgn * 2.0 * ses, (M, 1))
-        blocks = []
-        for j in range(J):
-            block = _ChainBlock(dataset, j, M, X_nuis)
-            for m in range(M):
-                block.refresh(dataset, m, limits[m, j])
-            blocks.append(block)
-
+        state = kernel.start(limits)
         warned = False
-        obs_stats = np.empty((M, J))
-        perm_stats = np.empty((M, J))
         for q in range(1, Q + 1):
             treated_perm = rng.permutation(C)[:k_treated]
-            all_good = True
-            good = None
-            for j, block in enumerate(blocks):
-                stale = np.abs(limits[:, j] - block.last_refit) > REFIT_FRACTION * ses[j]
-                if np.any(stale):
-                    for m in np.flatnonzero(stale):
-                        try:
-                            block.refresh(dataset, m, limits[m, j])
-                        except NumericalError:
-                            if good is None:
-                                good = np.ones((M, J), dtype=bool)
-                            good[m, j] = False
-                            all_good = False
-                eta = block.eta_base + limits[:, j, None] * D
-                with np.errstate(over="ignore", invalid="ignore"):
-                    resid = block.y - link_inverse(eta, block.spec.link)
-                    if kind == "weighted":
-                        G = 1.0 / mean_derivative(eta, block.spec.link)
-                        weighted = np.empty_like(resid)
-                        for c, idx in enumerate(dataset.cluster_obs_indices):
-                            weighted[:, idx] = G[:, idx] * cho_solve(
-                                factor_lists[j][c], resid[:, idx].T
-                            ).T
-                        resid = weighted
-                    tables = (A @ resid.T).T.reshape(M, C, T)
-                    row_tot = tables.sum(axis=2)
-                    row_tail = (
-                        row_tot if tail_start == 0
-                        else tables[:, :, tail_start:].sum(axis=2)
-                    )
-                    cs = -row_tot
-                    cs_obs = cs.copy()
-                    cs_obs[:, treated_obs] += 2.0 * row_tail[:, treated_obs]
-                    cs_perm = cs
-                    cs_perm[:, treated_perm] += 2.0 * row_tail[:, treated_perm]
-                    # correctly rounded reductions keep re-allocation
-                    # ties exact (see statistics.row_sums_exact)
-                    den_obs = np.sqrt(row_sums_exact(cs_obs**2))
-                    den_perm = np.sqrt(row_sums_exact(cs_perm**2))
-                    obs_stats[:, j] = row_sums_exact(cs_obs) / den_obs
-                    perm_stats[:, j] = row_sums_exact(cs_perm) / den_perm
-                finite = np.isfinite(obs_stats[:, j]) & np.isfinite(perm_stats[:, j])
-                if not finite.all():
-                    if good is None:
-                        good = np.ones((M, J), dtype=bool)
-                    good[:, j] &= finite
-                    all_good = False
-
-            if all_good:
-                a_obs = np.abs(obs_stats)
-                a_perm = np.abs(perm_stats)
-                flags = a_perm < a_obs
-                for m in rw_rows:
-                    # step-down walk: visit hypotheses by decreasing
-                    # observed statistic, reject while the running
-                    # suffix max of the permuted values stays below
-                    ord_m = np.lexsort((arange_J, -a_obs[m]))
-                    suffix = np.maximum.accumulate(a_perm[m][ord_m][::-1])[::-1]
-                    flags[m][ord_m] = np.logical_and.accumulate(
-                        suffix < a_obs[m][ord_m]
-                    )
-                for m in holm_rows:
-                    ord_m = np.lexsort((arange_J, -a_obs[m]))
-                    stars_mat[m][ord_m] = ladder_stars
-                    k_mat[m][ord_m] = ladder_k
-                s = k_mat * (sgn * (limits - theta))
-                limits += np.where(
-                    flags, -sgn * s * stars_mat / q, sgn * s * (1.0 - stars_mat) / q
-                )
-                crossed = sgn * (limits - theta) <= 0.0
-                if crossed.any():
-                    limits[crossed] = (theta + sgn * eps_vec)[np.where(crossed)[1]]
-                if traces is not None:
-                    for m in range(M):
-                        for j in range(J):
-                            traces[m].append(
-                                (side, q, j, float(limits[m, j]),
-                                 bool(flags[m, j]), float(s[m, j]))
-                            )
-                continue
-
-            # fallback: one or more statistics were unavailable; pull the
-            # offending limits halfway toward the point estimate and
-            # update the rest method by method
-            if not warned:
+            ok = kernel.refresh(state, limits, tol)
+            signs[1] = -1.0
+            signs[1, treated_perm, start:] = 1.0
+            stats = kernel.evaluate(limits, state, signs)
+            good = np.isfinite(stats).all(axis=0)
+            if ok is not None:
+                good &= ok
+            if good.all():
+                good = None
+            elif not warned:
                 warnings.warn(
                     f"{side} search produced a non-finite or degenerate "
                     "statistic at an extreme candidate limit; shrinking "
@@ -432,29 +453,15 @@ def _search_limits(
                     stacklevel=3,
                 )
                 warned = True
-            for m, method in enumerate(methods):
-                gm = good[m]
-                bad = np.flatnonzero(~gm)
-                limits[m, bad] = 0.5 * (limits[m, bad] + theta[bad])
-                if not np.any(gm):
-                    continue
-                sub = np.flatnonzero(gm)
-                flags_m = np.zeros(J, dtype=bool)
-                flags_m[sub] = single_step_decision(
-                    method, obs_stats[m, sub], perm_stats[m, sub], alpha
-                )
-                order = sub[np.lexsort((sub, -np.abs(obs_stats[m, sub])))]
-                stars = alpha_star_schedule(method, alpha, J, order)
-                for j in sub:
-                    limits[m, j], s_j = _update_one(
-                        limits[m, j], theta[j], stars[j], bool(flags_m[j]), sgn, q
-                    )
-                    if traces is not None:
+            limits, flags, s = rule.update(limits, stats, good, sgn, q)
+            if traces is not None:
+                for m in range(M):
+                    for j in range(J) if good is None else np.flatnonzero(good[m]):
                         traces[m].append(
                             (side, q, int(j), float(limits[m, j]),
-                             bool(flags_m[j]), float(s_j))
+                             bool(flags[m, j]), float(s[m, j]))
                         )
-        final[side] = limits.copy()
+        final[side] = limits
 
     return {
         method: ConfidenceSet(
@@ -521,14 +528,3 @@ def search_all_methods(
     return _search_limits(
         dataset, list(methods), alpha, Q, seed, kind, covariances, point_fits, trace
     )
-
-
-def write_trace(path, trace_rows) -> None:
-    """Dump search trace rows as CSV (side, q, outcome, limit, rejected, s_j)."""
-    import csv
-
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRACE_COLUMNS)
-        for row in trace_rows:
-            writer.writerow(row)

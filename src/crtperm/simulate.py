@@ -28,7 +28,14 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 from scipy.special import expit
 
-from .config import METHODS, PERMUTATION_METHODS, _require
+from .config import (
+    METHODS,
+    PERMUTATION_METHODS,
+    _integer,
+    _number,
+    _require,
+    validate_run_settings,
+)
 from .corrections import adjust
 from .data import OutcomeSpec, TrialDataset, validate_design
 from .errors import ConfigError, CrtPermError, NumericalError
@@ -325,9 +332,10 @@ class StudySpec:
     run_search: bool = True
 
     def __post_init__(self):
-        for m in self.methods:
-            if m not in METHODS:
-                raise ConfigError(f"unknown method: {m!r}")
+        validate_run_settings(
+            self.alpha, self.methods, self.seed, self.n_permutations, self.n_search_steps
+        )
+        self.methods = tuple(self.methods)
         if self.statistic not in ("unweighted", "weighted"):
             raise ConfigError(f"unknown statistic kind: {self.statistic!r}")
         if self.replicates < 1:
@@ -341,26 +349,26 @@ class StudySpec:
         J = 3 if model == "model3" else 2
         dgp = DgpSpec(
             model=model,
-            clusters_per_arm=int(_require(d, "clusters_per_arm")),
-            n_per_cluster=int(d.get("n_per_cluster", 20)),
+            clusters_per_arm=_integer(d, "clusters_per_arm", _require(d, "clusters_per_arm")),
+            n_per_cluster=_integer(d, "n_per_cluster", 20),
             delta=tuple(d.get("delta", (0.0,) * J)),
             mu=tuple(d.get("mu", (1.0,) * J)),
             sigma2=tuple(d.get("sigma2", (1.0,) * J)),
             tau2=tuple(d.get("tau2", (0.05,) * J)),
-            rho=float(d.get("rho", 0.0)),
-            pi=float(d.get("pi", 0.0)),
-            lam=float(d.get("lambda", 0.7)),
+            rho=_number(d, "rho", 0.0),
+            pi=_number(d, "pi", 0.0),
+            lam=_number(d, "lambda", 0.7),
             period_effect=tuple(d.get("period_effect", (1.0,) * 3)),
         )
         return cls(
             dgp=dgp,
-            methods=tuple(d.get("methods", METHODS)),
+            methods=d.get("methods", METHODS),
             statistic=d.get("statistic", "unweighted"),
-            replicates=int(d.get("replicates", 100)),
-            n_permutations=int(d.get("n_permutations", 1000)),
-            n_search_steps=int(d.get("n_search_steps", 2000)),
-            alpha=float(d.get("alpha", 0.05)),
-            seed=int(d.get("seed", 1)),
+            replicates=_integer(d, "replicates", 100),
+            n_permutations=_integer(d, "n_permutations", 1000),
+            n_search_steps=_integer(d, "n_search_steps", 2000),
+            alpha=_number(d, "alpha", 0.05),
+            seed=_integer(d, "seed", 1),
             run_search=bool(d.get("run_search", True)),
         )
 

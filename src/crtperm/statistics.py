@@ -25,7 +25,7 @@ from scipy.linalg import cho_factor, cho_solve
 
 from .data import TrialDataset, DesignInfo
 from .errors import NumericalError
-from .glm import FittedMeanModel, link_inverse, linear_predictor_at
+from .glm import FittedMeanModel
 
 
 def row_sums_exact(arr: np.ndarray) -> np.ndarray:
@@ -131,22 +131,6 @@ def residuals_under_null(
         outcome_index=outcome_index,
         dataset=dataset,
     )
-
-
-def null_residual_vector(
-    dataset: TrialDataset,
-    outcome_index: int,
-    nuisance_coefs: np.ndarray,
-    delta_star: float,
-) -> np.ndarray:
-    """Residuals y - h(X beta + delta* D) for given nuisance coefficients.
-
-    Used by the confidence-limit search, which moves ``delta_star``
-    every step but refreshes the nuisance fit only occasionally.
-    """
-    spec = dataset.outcome_specs[outcome_index]
-    eta = linear_predictor_at(dataset, nuisance_coefs, delta_star)
-    return dataset.outcomes[:, outcome_index] - link_inverse(eta, spec.link)
 
 
 def _signed_cluster_sums(table: np.ndarray, signs_batch: np.ndarray) -> np.ndarray:

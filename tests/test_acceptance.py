@@ -93,6 +93,7 @@ def run_baseline_design():
     return _run(study)
 
 
+@pytest.mark.slow
 class TestCriterion1FwerTwoTrueNulls:
     def test_fwer_bands(self, run_two_true_nulls):
         report, elapsed = run_two_true_nulls
@@ -120,6 +121,7 @@ class TestCriterion1FwerTwoTrueNulls:
                 f"runtime {elapsed:.0f}s < {budget:.0f}s budget ({WORKERS} workers)")
 
 
+@pytest.mark.slow
 class TestCriterion2BonferroniConservatism:
     def test_one_false_null(self, run_one_false_null):
         report, _ = run_one_false_null
@@ -129,6 +131,7 @@ class TestCriterion2BonferroniConservatism:
         _report(2, ok, f"FWER bonferroni={bonf:.3f} (<0.045), rw={rw:.3f}")
 
 
+@pytest.mark.slow
 class TestCriterion3FamilyWiseCoverage:
     def test_coverage_bands(self, run_two_true_nulls):
         report, _ = run_two_true_nulls
@@ -138,6 +141,7 @@ class TestCriterion3FamilyWiseCoverage:
         _report(3, ok, f"coverage rw={rw:.3f} in [0.93,0.97], none={none:.3f} in [0.88,0.93]")
 
 
+@pytest.mark.slow
 class TestCriterion4EfficiencyOrdering:
     def test_width_ordering_with_paired_gaps(self, run_two_true_nulls):
         """Known limitation, asserted as stated so the gap stays visible.
@@ -181,6 +185,7 @@ class TestCriterion4EfficiencyOrdering:
         _report(4, ok, "width gaps " + ", ".join(details))
 
 
+@pytest.mark.slow
 class TestCriterion5CorrelationRobustness:
     def test_stepdown_robust_at_high_correlation(self, run_high_correlation):
         report, _ = run_high_correlation
@@ -279,6 +284,7 @@ class TestCriterion6ExactOracleEquivalence:
         )
 
 
+@pytest.mark.slow
 class TestCriterion7InversionOracle:
     def test_search_matches_grid_inversion(self):
         # 12 clusters with 6 treated: 924 allocations, exhaustively
@@ -304,6 +310,7 @@ class TestCriterion7InversionOracle:
         )
 
 
+@pytest.mark.slow
 class TestCriterion8BaselineMeasureDesign:
     def test_three_outcome_temporal_structure(self, run_baseline_design):
         report, _ = run_baseline_design
@@ -381,6 +388,7 @@ class TestCriterion9PropertySuites:
         b = run_study(study, workers=2).to_dict()
         _report(9, a == b, "report identical for 1 and 2 workers")
 
+    @pytest.mark.slow
     def test_coverage_rejection_duality(self, run_two_true_nulls):
         # uncorrected test rejects at alpha exactly when 0 falls outside
         # the uncorrected interval, away from the decision boundary

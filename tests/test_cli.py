@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 
+import pytest
 
 from crtperm.cli import main
 
@@ -31,6 +32,24 @@ def _analysis_config(tmp_path, outcomes, **overrides):
     cfg.update(overrides)
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg), encoding="utf-8")
+    return path
+
+
+def _study_file(tmp_path, **overrides):
+    study = {
+        "model": "model1",
+        "clusters_per_arm": 4,
+        "n_per_cluster": 5,
+        "delta": [0, 0],
+        "methods": ["none", "romano_wolf"],
+        "replicates": 3,
+        "n_permutations": 30,
+        "n_search_steps": 120,
+        "seed": 2,
+    }
+    study.update(overrides)
+    path = tmp_path / "study.json"
+    path.write_text(json.dumps(study), encoding="utf-8")
     return path
 
 
@@ -117,25 +136,8 @@ class TestAnalyze:
 
 
 class TestSimulate:
-    def _study_file(self, tmp_path, **overrides):
-        study = {
-            "model": "model1",
-            "clusters_per_arm": 4,
-            "n_per_cluster": 5,
-            "delta": [0, 0],
-            "methods": ["none", "romano_wolf"],
-            "replicates": 3,
-            "n_permutations": 30,
-            "n_search_steps": 120,
-            "seed": 2,
-        }
-        study.update(overrides)
-        path = tmp_path / "study.json"
-        path.write_text(json.dumps(study), encoding="utf-8")
-        return path
-
     def test_smoke_report(self, tmp_path):
-        study = self._study_file(tmp_path)
+        study = _study_file(tmp_path)
         out = tmp_path / "report.json"
         assert main(["simulate", "--study", str(study), "--out", str(out), "--threads", "1"]) == 0
         report = json.loads(out.read_text())
@@ -145,14 +147,14 @@ class TestSimulate:
             assert report["methods"][m]["coverage"] is not None
 
     def test_byte_identical_reports(self, tmp_path):
-        study = self._study_file(tmp_path)
+        study = _study_file(tmp_path)
         out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
         assert main(["simulate", "--study", str(study), "--out", str(out1), "--threads", "1"]) == 0
         assert main(["simulate", "--study", str(study), "--out", str(out2), "--threads", "2"]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
     def test_flag_overrides(self, tmp_path):
-        study = self._study_file(tmp_path)
+        study = _study_file(tmp_path)
         out = tmp_path / "report.json"
         assert main([
             "simulate", "--study", str(study), "--out", str(out),
@@ -168,7 +170,7 @@ class TestSimulate:
         assert main(["simulate", "--study", str(bad), "--out", str(tmp_path / "o.json")]) == 2
 
     def test_replicate_dump(self, tmp_path):
-        study = self._study_file(tmp_path, methods=["none"])
+        study = _study_file(tmp_path, methods=["none"])
         out = tmp_path / "report.json"
         dump = tmp_path / "reps.csv"
         assert main([
@@ -178,6 +180,75 @@ class TestSimulate:
         lines = dump.read_text().strip().splitlines()
         assert lines[0].startswith("replicate,method,outcome")
         assert len(lines) == 1 + 3 * 2  # 3 replicates x 2 outcomes
+
+
+# each bad setting with the part of the message that names the problem
+BAD_SETTINGS = {
+    "alpha_half": ({"alpha": 0.5}, "alpha must be in (0, 0.5)"),
+    "alpha_zero": ({"alpha": 0.0}, "alpha must be in (0, 0.5)"),
+    "alpha_text": ({"alpha": "five percent"}, "alpha must be a number"),
+    "seed_text": ({"seed": "one"}, "seed must be a number"),
+    "seed_negative": ({"seed": -1}, "seed must be non-negative"),
+    "count_text": ({"n_permutations": "many"}, "n_permutations must be a number"),
+    "count_fractional": ({"n_permutations": 10.5}, "n_permutations must be a whole number"),
+    "too_few_search_steps": ({"n_search_steps": 50}, "n_search_steps must be >= 100"),
+    "methods_string": ({"methods": "holm"}, "methods must be a list"),
+}
+STUDY_ONLY_SETTINGS = {
+    "replicates_text": ({"replicates": "ten"}, "replicates must be a number"),
+    "clusters_text": ({"clusters_per_arm": "four"}, "clusters_per_arm must be a number"),
+}
+
+
+class TestConfigErrors:
+    """Every bad setting exits 2 with a message, never with a traceback."""
+
+    @staticmethod
+    def _assert_config_error(code, capsys, message):
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert f"config error: {message}" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("override, message", BAD_SETTINGS.values(), ids=BAD_SETTINGS.keys())
+    def test_analyze(self, tmp_path, capsys, override, message):
+        data, _ = _write_data(tmp_path)
+        cfg = _analysis_config(tmp_path, [{"name": "y1", "family": "gaussian"}], **override)
+        code = main([
+            "analyze", "--data", str(data), "--config", str(cfg),
+            "--out", str(tmp_path / "o.json"),
+        ])
+        self._assert_config_error(code, capsys, message)
+
+    @pytest.mark.parametrize(
+        "override, message",
+        [*BAD_SETTINGS.values(), *STUDY_ONLY_SETTINGS.values()],
+        ids=[*BAD_SETTINGS.keys(), *STUDY_ONLY_SETTINGS.keys()],
+    )
+    def test_simulate(self, tmp_path, capsys, override, message):
+        study = _study_file(tmp_path, **override)
+        code = main(["simulate", "--study", str(study), "--out", str(tmp_path / "o.json")])
+        self._assert_config_error(code, capsys, message)
+
+    def test_simulate_negative_seed_flag(self, tmp_path, capsys):
+        study = _study_file(tmp_path)
+        code = main([
+            "simulate", "--study", str(study), "--out", str(tmp_path / "o.json"),
+            "--seed", "-1",
+        ])
+        self._assert_config_error(code, capsys, "seed must be non-negative")
+
+    def test_analyze_has_no_threads_flag(self, tmp_path, capsys):
+        # the analysis runs on one thread; only simulate takes a worker cap
+        data, _ = _write_data(tmp_path)
+        cfg = _analysis_config(tmp_path, [{"name": "y1", "family": "gaussian"}])
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "analyze", "--data", str(data), "--config", str(cfg),
+                "--out", str(tmp_path / "o.json"), "--threads", "2",
+            ])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
 
 
 class TestEntryPoint:

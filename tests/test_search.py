@@ -3,13 +3,28 @@
 import numpy as np
 import pytest
 
-from crtperm.glm import irls_fit
+from crtperm.corrections import single_step_decision
+from crtperm.data import OutcomeSpec, TrialDataset, validate_design
+from crtperm.glm import (
+    CovarianceSpec,
+    build_cluster_covariance,
+    irls_fit,
+    link_inverse,
+    mean_derivative,
+    nuisance_design,
+)
 from crtperm.search import (
-    SearchState,
+    StepRule,
+    _StepKernel,
     alpha_star_schedule,
     rm_search,
-    rm_update,
     step_constant,
+)
+from crtperm.statistics import (
+    NullResiduals,
+    SignedAllocation,
+    stats_from_cell_table,
+    weighted_cell_table,
 )
 
 from conftest import grid_inversion_endpoints, make_gaussian_dataset
@@ -53,61 +68,101 @@ class TestAlphaStarSchedule:
             alpha_star_schedule("holm", 0.05, 2)
 
 
-def _state(u, l, theta, alpha=0.05, method="none", q=1):
-    return SearchState(
-        u=np.asarray(u, dtype=float),
-        l=np.asarray(l, dtype=float),
-        point_estimates=np.asarray(theta, dtype=float),
-        alpha=alpha,
-        method=method,
-        Q=1000,
-        q=q,
+def _step(limits, theta, rejected, side="upper", alpha=0.05, q=1, good=None):
+    """One masked update of single-method chains; returns the new limits.
+
+    The observed |statistic| is 2; the permuted one is 1 (a rejection)
+    or 3 (none).
+    """
+    limits = np.array([limits], dtype=float)
+    perm = np.where(rejected, 1.0, 3.0)[None]
+    stats = np.stack([np.full(limits.shape, 2.0), perm])
+    good = np.ones(limits.shape, dtype=bool) if good is None else np.array([good])
+    sgn = 1.0 if side == "upper" else -1.0
+    new, _, _ = StepRule(["none"], alpha, np.asarray(theta, dtype=float)).update(
+        limits, stats, good, sgn, q
     )
+    return new[0]
 
 
 class TestRmUpdate:
     def test_rejection_shrinks_upper_limit(self):
-        st = _state(u=[1.0], l=[-1.0], theta=[0.0], q=100)
+        u = _step([1.0], [0.0], [True], q=100)
         s_j = step_constant(0.05) * 1.0
-        rm_update(st, np.array([True]), "upper")
-        assert st.u[0] == pytest.approx(1.0 - s_j * 0.05 / 100, abs=1e-12)
-        assert st.u[0] == pytest.approx(1.0 - s_j * 0.0005, abs=1e-12)
+        assert u[0] == pytest.approx(1.0 - s_j * 0.05 / 100, abs=1e-12)
+        assert u[0] == pytest.approx(1.0 - s_j * 0.0005, abs=1e-12)
 
     def test_non_rejection_grows_upper_limit_nineteen_fold(self):
-        st = _state(u=[1.0], l=[-1.0], theta=[0.0], q=100)
+        u = _step([1.0], [0.0], [False], q=100)
         s_j = step_constant(0.05) * 1.0
-        rm_update(st, np.array([False]), "upper")
-        grow = st.u[0] - 1.0
+        grow = u[0] - 1.0
         assert grow == pytest.approx(s_j * 0.95 / 100, abs=1e-12)
-        st2 = _state(u=[1.0], l=[-1.0], theta=[0.0], q=100)
-        rm_update(st2, np.array([True]), "upper")
-        shrink = 1.0 - st2.u[0]
+        shrink = 1.0 - _step([1.0], [0.0], [True], q=100)[0]
         assert grow == pytest.approx(19.0 * shrink, abs=1e-12)
 
     def test_lower_side_mirrors(self):
-        st = _state(u=[1.0], l=[-1.0], theta=[0.0], q=50)
         s_j = step_constant(0.05) * 1.0
-        rm_update(st, np.array([True]), "lower")
-        assert st.l[0] == pytest.approx(-1.0 + s_j * 0.05 / 50, abs=1e-12)
-        st2 = _state(u=[1.0], l=[-1.0], theta=[0.0], q=50)
-        rm_update(st2, np.array([False]), "lower")
-        assert st2.l[0] == pytest.approx(-1.0 - s_j * 0.95 / 50, abs=1e-12)
+        l = _step([-1.0], [0.0], [True], side="lower", q=50)
+        assert l[0] == pytest.approx(-1.0 + s_j * 0.05 / 50, abs=1e-12)
+        l2 = _step([-1.0], [0.0], [False], side="lower", q=50)
+        assert l2[0] == pytest.approx(-1.0 - s_j * 0.95 / 50, abs=1e-12)
 
     def test_crossing_is_clamped(self):
         # with alpha* near 0.5 the constant is huge and a rejection at
         # q = 1 would jump across the point estimate
-        st = _state(u=[1.0], l=[-1.0], theta=[0.0], alpha=0.49, q=1)
-        rm_update(st, np.array([True]), "upper")
-        assert st.u[0] == pytest.approx(1e-6)
-        st2 = _state(u=[1.0], l=[-1.0], theta=[0.0], alpha=0.49, q=1)
-        rm_update(st2, np.array([True]), "lower")
-        assert st2.l[0] == pytest.approx(-1e-6)
+        u = _step([1.0], [0.0], [True], alpha=0.49, q=1)
+        assert u[0] == pytest.approx(1e-6)
+        l = _step([-1.0], [0.0], [True], side="lower", alpha=0.49, q=1)
+        assert l[0] == pytest.approx(-1e-6)
 
     def test_mask_skips_outcomes(self):
-        st = _state(u=[1.0, 2.0], l=[-1.0, -2.0], theta=[0.0, 0.0], q=10)
-        rm_update(st, np.array([True, True]), "upper", mask=np.array([True, False]))
-        assert st.u[1] == 2.0
-        assert st.u[0] < 1.0
+        # a chain not marked good takes no Robbins-Monro step; it is
+        # pulled halfway toward its point estimate instead
+        u = _step([1.0, 2.0], [0.0, 0.0], [True, True], q=10, good=[True, False])
+        assert u[1] == 1.0
+        assert u[0] < 1.0
+
+    def test_matches_per_method_reference(self):
+        # the masked routine against the per-method path it replaced:
+        # the single-draw decision and the alpha* schedule restricted to
+        # the good outcomes, then one scalar update per good outcome
+        rng = np.random.default_rng(3)
+        methods = ["none", "bonferroni", "holm", "romano_wolf"]
+        alpha, J = 0.05, 4
+        for trial in range(300):
+            theta = rng.normal(size=J)
+            sgn = 1.0 if trial % 2 else -1.0
+            limits = theta + sgn * rng.uniform(0.1, 2.0, (len(methods), J))
+            stats = rng.normal(size=(2, len(methods), J))
+            stats[1, :, 0] = -stats[0, :, 0]  # an exact tie
+            good = rng.uniform(size=(len(methods), J)) > 0.05
+            q = int(rng.integers(1, 500))
+            expected = limits.copy()
+            for m, method in enumerate(methods):
+                bad = ~good[m]
+                expected[m, bad] = 0.5 * (limits[m, bad] + theta[bad])
+                sub = np.flatnonzero(good[m])
+                if not sub.size:
+                    continue
+                flags = np.zeros(J, dtype=bool)
+                flags[sub] = single_step_decision(
+                    method, stats[0, m, sub], stats[1, m, sub], alpha
+                )
+                order = sub[np.lexsort((sub, -np.abs(stats[0, m, sub])))]
+                stars = alpha_star_schedule(method, alpha, J, order)
+                for j in sub:
+                    s_j = step_constant(stars[j]) * sgn * (limits[m, j] - theta[j])
+                    if flags[j]:
+                        new = limits[m, j] - sgn * s_j * stars[j] / q
+                    else:
+                        new = limits[m, j] + sgn * s_j * (1.0 - stars[j]) / q
+                    if sgn * (new - theta[j]) <= 0.0:
+                        new = theta[j] + sgn * 1e-6 * max(1.0, abs(theta[j]))
+                    expected[m, j] = new
+            got, _, _ = StepRule(methods, alpha, theta).update(
+                limits, stats, None if good.all() else good, sgn, q
+            )
+            assert np.array_equal(got, expected), trial
 
 
 class TestRmSearch:
@@ -235,3 +290,121 @@ class TestRmSearch:
         assert np.array_equal(a.lower, b.lower)
         assert np.array_equal(a.upper, b.upper)
         assert len(b.trace) == 2 * 300 * 2  # sides x steps x outcomes
+
+
+def _mixed_dataset(baseline, seed=0, n_clusters=8):
+    """Gaussian, Poisson and binary outcomes; unequal cells; shuffled rows.
+
+    ``baseline`` gives two periods with everyone untreated in the first,
+    otherwise one period; half the clusters are treated.
+    """
+    rng = np.random.default_rng(seed)
+    C, T = n_clusters, 2 if baseline else 1
+    sizes = rng.integers(2, 7, size=(C, T))
+    treated = np.zeros(C, dtype=bool)
+    treated[rng.choice(C, size=C // 2, replace=False)] = True
+    cluster_index = np.repeat(np.arange(C), sizes.sum(axis=1))
+    period = np.concatenate([np.repeat(np.arange(1, T + 1), sizes[c]) for c in range(C)])
+    shuffle = rng.permutation(len(cluster_index))
+    cluster_index, period = cluster_index[shuffle], period[shuffle]
+    n = len(cluster_index)
+    D = (treated[cluster_index] & (period == T)).astype(int)
+    effect = rng.normal(0.0, 0.3, C)[cluster_index] + 0.2 * (period - 1)
+    y = np.column_stack([
+        1.0 + 0.4 * D + effect + rng.normal(size=n),
+        rng.poisson(np.exp(0.5 + 0.3 * D + effect)),
+        rng.binomial(1, 1.0 / (1.0 + np.exp(0.3 - 0.5 * D - effect))),
+    ])
+    ds = TrialDataset(
+        cluster_labels=[f"c{c}" for c in range(C)],
+        cluster_index=cluster_index,
+        period=period,
+        treatment=D,
+        outcomes=y,
+        outcome_specs=(
+            OutcomeSpec("y1", "gaussian"),
+            OutcomeSpec("y2", "poisson"),
+            OutcomeSpec("y3", "binomial"),
+        ),
+    )
+    ds.design = validate_design(ds)
+    return ds
+
+
+def _ar1_covariances(ds):
+    return [
+        build_cluster_covariance(
+            CovarianceSpec("ar1_time", sigma2=1.0 + 0.5 * j, tau2=0.4, lam=0.6),
+            ds.cell_counts,
+        )
+        for j in range(ds.n_outcomes)
+    ]
+
+
+def _reference_stats(ds, kind, covs, refit_at, limits, signs):
+    """Statistics from the library's one-table reference path, chain by chain."""
+    X, _ = nuisance_design(ds)
+    D = ds.treatment.astype(float)
+    out = np.empty((len(signs),) + limits.shape)
+    for (m, j), delta in np.ndenumerate(limits):
+        link = ds.outcome_specs[j].link
+        y = ds.outcomes[:, j]
+        if link == "identity":
+            beta = np.linalg.lstsq(X, y - refit_at[m, j] * D, rcond=None)[0]
+        else:
+            beta = irls_fit(ds, j, delta_fixed=float(refit_at[m, j])).nuisance_coefs
+        eta = X @ beta + delta * D
+        resid = NullResiduals(
+            values=y - link_inverse(eta, link), delta_star=float(delta),
+            outcome_index=j, dataset=ds,
+        )
+        if kind == "unweighted":
+            table = resid.cell_table()
+        else:
+            table = weighted_cell_table(resid, covs[j], 1.0 / mean_derivative(eta, link))
+        out[:, m, j] = stats_from_cell_table(table, signs)
+    return out
+
+
+class TestStepKernel:
+    """The search step's stacked statistics against the reference statistic."""
+
+    def _kernel(self, ds, kind, seed, n_chains=3):
+        rng = np.random.default_rng(seed)
+        fits = [irls_fit(ds, j) for j in range(ds.n_outcomes)]
+        theta = np.array([f.treatment_effect for f in fits])
+        se = np.array([f.naive_se for f in fits])
+        covs = _ar1_covariances(ds) if kind == "weighted" else None
+        shape = (n_chains, ds.n_outcomes)
+        refit_at = theta + rng.uniform(-3.0, 3.0, shape) * se
+        limits = refit_at + rng.uniform(-0.5, 0.5, shape) * se
+        kernel = _StepKernel(ds, kind, covs, n_chains)
+        return kernel, kernel.start(refit_at), refit_at, limits, covs
+
+    @pytest.mark.parametrize("kind", ["unweighted", "weighted"])
+    @pytest.mark.parametrize("baseline", [False, True], ids=["parallel", "baseline"])
+    def test_matches_reference_statistic(self, kind, baseline):
+        for seed in range(3):
+            ds = _mixed_dataset(baseline, seed=seed)
+            kernel, state, refit_at, limits, covs = self._kernel(ds, kind, seed)
+            rng = np.random.default_rng(seed)
+            permuted = SignedAllocation.from_treated(
+                ds.design, np.sort(rng.choice(8, size=4, replace=False))
+            )
+            signs = np.stack([SignedAllocation.observed(ds).signs, permuted.signs])
+            got = kernel.evaluate(limits, state, signs.astype(float))
+            want = _reference_stats(ds, kind, covs, refit_at, limits, signs)
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("kind", ["unweighted", "weighted"])
+    def test_structural_ties_are_exact(self, kind):
+        ds = _mixed_dataset(baseline=False, seed=5)
+        kernel, state, _, limits, _ = self._kernel(ds, kind, 5)
+        observed = SignedAllocation.observed(ds)
+        complement = SignedAllocation.from_treated(
+            ds.design, [c for c in range(8) if c not in observed.treated]
+        )
+        for other in (observed, complement):
+            signs = np.stack([observed.signs, other.signs]).astype(float)
+            obs, perm = kernel.evaluate(limits, state, signs)
+            assert np.array_equal(np.abs(perm), np.abs(obs))
