@@ -16,11 +16,9 @@ from .corrections import (
     adjust_holm,
     adjust_none,
     adjust_romano_wolf,
-    single_step_decision,
 )
 from .data import (
     DesignInfo,
-    Observation,
     OutcomeSpec,
     TrialDataset,
     load_dataset,
@@ -68,7 +66,6 @@ from .simulate import (
     gen_model2,
     gen_model3,
     generate_dataset,
-    mvn_sample,
     run_study,
 )
 from .statistics import (

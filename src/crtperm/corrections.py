@@ -1,4 +1,4 @@
-"""Multiplicity-adjusted p-values and single-draw stepdown decisions.
+"""Multiplicity-adjusted p-values.
 
 All adjustments consume a :class:`~crtperm.permutation.StatMatrix` so
 that the stepdown method can use the joint permutation distribution of
@@ -144,42 +144,3 @@ def adjust(matrix: StatMatrix, method: str, sided: str = "two_sided") -> Adjuste
         raise ValueError(f"unknown correction method: {method!r}") from None
     return fn(matrix, sided)
 
-
-def single_step_decision(
-    method: str,
-    observed_stats: np.ndarray,
-    permuted_stats: np.ndarray,
-    alpha: float,
-) -> np.ndarray:
-    """Per-outcome reject flags from a single fresh permutation draw.
-
-    This is the decision rule consumed by the confidence-limit search,
-    where one permutation is drawn per search step.  For the stepdown
-    method, hypotheses are visited in decreasing order of the observed
-    statistic and hypothesis r is rejected when the permuted
-    max-statistic over the not-yet-stopped set is strictly below the
-    observed value; the first failure stops the walk and all
-    later-ordered hypotheses are accepted.  The other methods compare
-    each outcome's permuted and observed statistics directly (their
-    differing strictness enters through the search's alpha schedule,
-    not through this comparison).  ``alpha`` is accepted for interface
-    symmetry; the comparisons themselves are level-free.
-    """
-    observed_stats = np.asarray(observed_stats, dtype=float)
-    permuted_stats = np.asarray(permuted_stats, dtype=float)
-    if not (np.all(np.isfinite(observed_stats)) and np.all(np.isfinite(permuted_stats))):
-        raise NumericalError("non-finite statistic in single-draw decision")
-    a_obs = np.abs(observed_stats)
-    a_perm = np.abs(permuted_stats)
-    if method in ("none", "bonferroni", "holm"):
-        return a_perm < a_obs
-    if method == "romano_wolf":
-        order = _ordering(observed_stats, "two_sided")
-        flags = np.zeros(len(a_obs), dtype=bool)
-        for r, j in enumerate(order):
-            if a_perm[order[r:]].max() < a_obs[j]:
-                flags[j] = True
-            else:
-                break
-        return flags
-    raise ValueError(f"unknown correction method: {method!r}")

@@ -15,7 +15,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -54,14 +54,23 @@ class OutcomeSpec:
 
 
 @dataclass(frozen=True)
-class Observation:
-    """A single row of trial data (one individual in one cluster-period)."""
+class RowPatterns:
+    """The distinct (cell, covariate row) patterns of a dataset's rows.
 
-    cluster_id: str
-    time_period: int
-    treatment: int
-    outcomes: tuple[float, ...]
-    covariates: tuple[float, ...] = ()
+    Rows of one pattern share their cluster, period, treatment and
+    covariates, so any mean model built from those (the nuisance design
+    plus the treatment term) gives them one mean, and sums over rows
+    collapse to sums over patterns.  Without covariates a pattern is a
+    (cluster, period) cell; with a continuous covariate every row is
+    its own pattern.  Patterns are sorted by cell, so each cluster's
+    patterns are contiguous.
+    """
+
+    of_row: np.ndarray  # (n,) pattern of each row
+    rep: np.ndarray  # (P,) one representative row per pattern
+    counts: np.ndarray  # (P,) float number of rows per pattern
+    cell: np.ndarray  # (P,) flat (cluster, period) cell of each pattern
+    ysum: np.ndarray  # (P, J) per-outcome sums over each pattern's rows
 
 
 @dataclass(frozen=True)
@@ -139,41 +148,6 @@ class TrialDataset:
                     self.outcomes, self.covariates):
             arr.flags.writeable = False
 
-    # ------------------------------------------------------------------
-    # construction helpers
-
-    @classmethod
-    def from_observations(
-        cls,
-        observations: Sequence[Observation],
-        outcome_specs: Sequence[OutcomeSpec],
-        covariate_names: Sequence[str] = (),
-    ) -> "TrialDataset":
-        if not observations:
-            raise DataValidationError("empty dataset: no observations")
-        labels: list[str] = []
-        index_of: dict[str, int] = {}
-        cluster_index = np.empty(len(observations), dtype=np.intp)
-        for i, obs in enumerate(observations):
-            if obs.cluster_id not in index_of:
-                index_of[obs.cluster_id] = len(labels)
-                labels.append(obs.cluster_id)
-            cluster_index[i] = index_of[obs.cluster_id]
-        ds = cls(
-            cluster_labels=labels,
-            cluster_index=cluster_index,
-            period=np.array([o.time_period for o in observations]),
-            treatment=np.array([o.treatment for o in observations]),
-            outcomes=np.array([o.outcomes for o in observations], dtype=float),
-            outcome_specs=outcome_specs,
-            covariates=np.array([o.covariates for o in observations], dtype=float)
-            if covariate_names or (observations and observations[0].covariates)
-            else None,
-            covariate_names=covariate_names,
-        )
-        ds.design = validate_design(ds)
-        return ds
-
     def _validate_shapes(self):
         n = self.n_obs
         if n == 0:
@@ -216,17 +190,6 @@ class TrialDataset:
             T = int(self.period.max())
             self._cache["n_periods"] = T
         return T
-
-    @property
-    def observations(self) -> Iterator[Observation]:
-        for i in range(self.n_obs):
-            yield Observation(
-                cluster_id=self.cluster_labels[self.cluster_index[i]],
-                time_period=int(self.period[i]),
-                treatment=int(self.treatment[i]),
-                outcomes=tuple(self.outcomes[i]),
-                covariates=tuple(self.covariates[i]),
-            )
 
     # ------------------------------------------------------------------
     # cached structural helpers used by the statistic machinery
@@ -281,6 +244,31 @@ class TrialDataset:
             sl = tuple(order[bounds[c]:bounds[c + 1]] for c in range(self.n_clusters))
             self._cache["cluster_obs_indices"] = sl
         return sl
+
+    @property
+    def patterns(self) -> "RowPatterns":
+        """The rows' distinct (cell, covariate row) patterns; see :class:`RowPatterns`."""
+        pat = self._cache.get("patterns")
+        if pat is None:
+            key = self.group_key
+            if self.covariates.shape[1]:
+                key = np.column_stack([key.astype(float), self.covariates])
+            _, rep, of_row, counts = np.unique(
+                key, axis=0, return_index=True, return_inverse=True, return_counts=True
+            )
+            of_row = of_row.reshape(-1)
+            P = len(rep)
+            pat = RowPatterns(
+                of_row=of_row,
+                rep=rep,
+                counts=counts.astype(float),
+                cell=self.group_key[rep],
+                ysum=np.column_stack([
+                    np.bincount(of_row, weights=col, minlength=P) for col in self.outcomes.T
+                ]),
+            )
+            self._cache["patterns"] = pat
+        return pat
 
     def cell_totals(self, values: np.ndarray) -> np.ndarray:
         """Sum ``values`` over each (cluster, period) cell, shape (C, T)."""

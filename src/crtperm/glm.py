@@ -2,12 +2,22 @@
 
 The mean model for outcome j regresses the outcome on an intercept,
 the treatment indicator, any covariates, and period indicators when
-the trial has more than one period.  It is fitted by iteratively
-reweighted least squares (IRLS) for the declared family/link.  The
-treatment effect can instead be *fixed* at a null value, in which case
-the fixed term enters as an offset and only the nuisance parameters
-are estimated; permutation statistics are built from such constrained
-fits so that nuisance estimates stay invariant across permutations.
+the trial has more than one period.  The treatment effect can instead
+be *fixed* at a null value, in which case the fixed term enters as an
+offset and only the nuisance parameters are estimated; permutation
+statistics are built from such constrained fits so that nuisance
+estimates stay invariant across permutations.
+
+Gaussian outcomes are fitted by least squares on the rows.  Log and
+logit outcomes are fitted by iteratively reweighted least squares
+(IRLS) on the dataset's row patterns, the distinct (cluster-period
+cell, covariate row) combinations: every row of a pattern has the
+same design row and so the same mean, and the row-level normal
+equations summed within a pattern are one weighted equation with the
+pattern's row count as a frequency weight and its mean outcome as the
+response.  The fit, its information and its standard error are the
+row-level ones, at a cost that grows with the number of patterns (the
+number of cells when there are no covariates) instead of rows.
 
 Variance components are estimated by a one-way ANOVA moment
 decomposition of Pearson residuals (between/within cluster mean
@@ -152,9 +162,15 @@ def nuisance_design(dataset: TrialDataset) -> tuple[np.ndarray, tuple[str, ...]]
     return result
 
 
-def _initial_eta(y: np.ndarray, family: str, link: str) -> np.ndarray:
-    if link == "identity":
-        return y.astype(float)
+def _with_treatment(X_nuis, treatment, delta_fixed):
+    """Design and offset: the treatment as the last column, or as a fixed offset."""
+    D = treatment.astype(float)
+    if delta_fixed is None:
+        return np.column_stack([X_nuis, D]), np.zeros(len(D))
+    return X_nuis, float(delta_fixed) * D
+
+
+def _initial_eta(y: np.ndarray, link: str) -> np.ndarray:
     if link == "log":
         return np.log(np.maximum(y, 0) + 0.5)
     # logit: shrink toward 1/2 to keep eta finite
@@ -180,6 +196,12 @@ def irls_fit(
     a coefficient vector (used by the limit search, whose consecutive
     refits differ only slightly).
 
+    Gaussian outcomes are solved by least squares on the rows.  Log and
+    logit outcomes iterate on the dataset's row patterns
+    (:attr:`~crtperm.data.TrialDataset.patterns`) with the pattern row
+    counts as frequency weights, which gives the row-level MLE and
+    information; only the returned ``linear_predictor`` is per row.
+
     Raises
     ------
     NumericalError
@@ -190,22 +212,14 @@ def irls_fit(
     if not 0 <= outcome_index < dataset.n_outcomes:
         raise IndexError(f"outcome index {outcome_index} out of range")
     spec = dataset.outcome_specs[outcome_index]
-    y = dataset.outcomes[:, outcome_index]
     X_nuis, names = nuisance_design(dataset)
-    D = dataset.treatment.astype(float)
-
     estimate_delta = delta_fixed is None
     if estimate_delta:
-        X = np.column_stack([X_nuis, D])
         names = names + ("treatment",)
-        offset = np.zeros(dataset.n_obs)
-    else:
-        X = X_nuis
-        offset = float(delta_fixed) * D
-
-    p = X.shape[1]
 
     if spec.family == "gaussian" and spec.link == "identity":
+        y = dataset.outcomes[:, outcome_index]
+        X, offset = _with_treatment(X_nuis, dataset.treatment, delta_fixed)
         coef, *_ = np.linalg.lstsq(X, y - offset, rcond=None)
         eta = X @ coef + offset
         naive_se = None
@@ -216,12 +230,20 @@ def irls_fit(
             naive_se, eta, converged=True, n_iter=1, names=names,
         )
 
+    # one row per pattern, weighted by its row count: the normal
+    # equations are the row-level ones summed within each pattern
+    pat = dataset.patterns
+    counts = pat.counts
+    ybar = pat.ysum[:, outcome_index] / counts
+    X, offset = _with_treatment(X_nuis[pat.rep], dataset.treatment[pat.rep], delta_fixed)
+    p = X.shape[1]
+
     if start is not None and len(start) == p:
         coef = np.asarray(start, dtype=float)
         eta = X @ coef + offset
     else:
         coef = np.zeros(p)
-        eta = _initial_eta(y, spec.family, spec.link)
+        eta = _initial_eta(ybar, spec.link)
     converged = False
     n_iter = 0
     for n_iter in range(1, max_iter + 1):
@@ -229,8 +251,8 @@ def irls_fit(
         dmu = mean_derivative(eta, spec.link)
         var = variance_function(mu, spec.family)
         # canonical links: dmu == var, but keep the general form
-        w = dmu**2 / np.maximum(var, 1e-12)
-        z = (eta - offset) + (y - mu) / np.maximum(dmu, 1e-12)
+        w = counts * dmu**2 / np.maximum(var, 1e-12)
+        z = (eta - offset) + (ybar - mu) / np.maximum(dmu, 1e-12)
         sw = np.sqrt(w)
         new_coef, *_ = np.linalg.lstsq(X * sw[:, None], z * sw, rcond=None)
         change = float(np.max(np.abs(new_coef - coef))) if n_iter > 1 else np.inf
@@ -251,7 +273,7 @@ def irls_fit(
         )
         err.last_model = _pack_model(
             spec, outcome_index, coef, estimate_delta, delta_fixed,
-            None, eta, converged=False, n_iter=n_iter, names=names,
+            None, eta[pat.of_row], converged=False, n_iter=n_iter, names=names,
         )
         raise err
 
@@ -260,13 +282,13 @@ def irls_fit(
         mu = link_inverse(eta, spec.link)
         dmu = mean_derivative(eta, spec.link)
         var = variance_function(mu, spec.family)
-        w = dmu**2 / np.maximum(var, 1e-12)
+        w = counts * dmu**2 / np.maximum(var, 1e-12)
         info = (X * w[:, None]).T @ X
         cov = np.linalg.pinv(info)
         naive_se = float(np.sqrt(max(cov[-1, -1], 0.0)))
     return _pack_model(
         spec, outcome_index, coef, estimate_delta, delta_fixed,
-        naive_se, eta, converged=True, n_iter=n_iter, names=names,
+        naive_se, eta[pat.of_row], converged=True, n_iter=n_iter, names=names,
     )
 
 

@@ -22,18 +22,28 @@ One step evaluates every (method, outcome) chain at once.  The chains'
 under the observed and the drawn allocation stacks the cluster
 contributions as (2, M, J, C), reduced over clusters in one fixed
 order, so an allocation whose contributions equal or negate the
-observed ones ties with it exactly.  The tables come from three sources:
+observed ones ties with it exactly.  The tables come from two sources:
 
 - identity links are affine in the candidate limit delta: after a
   refit at delta_r the table is ``R0 + delta_r * HD - delta * Dtab``,
   the cell totals of y - Hy, HD and D (H the nuisance hat matrix),
-  built once per outcome;
-- log and logit links sum y - h(X beta + delta D) into cells with one
-  ``bincount`` over offset cell keys;
-- the weighted statistic applies inverse working covariances, built
-  once per outcome, with one batched ``matmul`` per distinct cluster
-  size, then the link-derivative weights G (one under the identity
-  link, whose three tables carry the inverse already).
+  built once per outcome; the weighted statistic applies the inverse
+  working covariances to those three row vectors once, so its tables
+  carry V^{-1} already (and G is one under the identity link);
+- log and logit links work on the dataset's row patterns (distinct
+  (cell, covariate row) combinations, among which the fitted mean
+  h(eta_p) is constant; see :class:`~crtperm.data.RowPatterns`).
+  With S the rows-to-patterns indicator, each pattern's entry is
+  ``g_p * (A - B mu)_p`` with A = S' V^{-1} y and B = S' V^{-1} S
+  compressed once per outcome and cluster, g_p the link-derivative
+  weight and mu_p = h(eta_p); the unweighted statistic is the same
+  formula with V = I and g = 1, i.e. ``ysum_p - count_p * mu_p``.
+  Weighted steps apply B with one batched ``matmul`` per distinct
+  number of patterns per cluster; one ``bincount`` then sums the
+  patterns into cells.  A step's cost grows with the number of
+  patterns, not rows; so does a nuisance refit
+  (:func:`crtperm.glm.irls_fit` iterates on the same patterns), apart
+  from the fit's final gather of its per-row linear predictor.
 
 A chain refits its nuisance parameters only when its limit has moved
 more than ``REFIT_FRACTION`` standard errors since its last refit.
@@ -207,19 +217,23 @@ class ConfidenceSet:
     trace: list | None = field(default=None, repr=False)
 
 
-def _size_groups(dataset) -> list[tuple[list[int], np.ndarray]]:
-    """Clusters grouped by size: (cluster indices, (C_g, s_g) observation indices)."""
+def _size_groups(blocks) -> list[tuple[list[int], np.ndarray]]:
+    """Clusters grouped by block size: (cluster indices, (C_g, s_g) index stack).
+
+    ``blocks[c]`` holds cluster c's indices, into the rows or into the
+    row patterns.
+    """
     by_size: dict[int, list[int]] = {}
-    for c, idx in enumerate(dataset.cluster_obs_indices):
+    for c, idx in enumerate(blocks):
         by_size.setdefault(len(idx), []).append(c)
     return [
-        (clusters, np.stack([dataset.cluster_obs_indices[c] for c in clusters]))
+        (clusters, np.stack([blocks[c] for c in clusters]))
         for clusters in by_size.values()
     ]
 
 
-def _inverse_blocks(dataset, covariances, groups) -> list[np.ndarray]:
-    """Inverse working covariances, one (J, C_g, s_g, s_g) stack per size group."""
+def _cluster_inverses(dataset, covariances) -> list[list[np.ndarray]]:
+    """Inverse working covariance of every (outcome, cluster)."""
     inverses: list[list[np.ndarray]] = []
     for outcome_covariances in covariances:
         inverses.append([])
@@ -232,19 +246,23 @@ def _inverse_blocks(dataset, covariances, groups) -> list[np.ndarray]:
                     f"{dataset.cluster_labels[c]!r}"
                 ) from exc
             inverses[-1].append(cho_solve(fac, np.eye(len(V))))
-    return [np.array([[inv[c] for c in clusters] for inv in inverses])
-            for clusters, _ in groups]
+    return inverses
 
 
-def _solve_blocks(values, groups, inverses) -> np.ndarray:
-    """Each cluster's block of ``values`` (K, L, n) times its inverse covariance.
+def _stack_blocks(blocks, groups) -> list[np.ndarray]:
+    """Per (outcome, cluster) square blocks as one (J, C_g, s_g, s_g) stack per group."""
+    return [np.array([[b[c] for c in clusters] for b in blocks]) for clusters, _ in groups]
 
-    ``inverses[g]`` has shape (K, C_g, s_g, s_g): one stack per leading
+
+def _solve_blocks(values, groups, blocks) -> np.ndarray:
+    """Each cluster's block of ``values`` (K, L, N) times its square block.
+
+    ``blocks[g]`` has shape (K, C_g, s_g, s_g): one stack per leading
     row, so one ``matmul`` serves every cluster of one size.
     """
     out = np.empty_like(values)
-    for (_, idx), inv in zip(groups, inverses):
-        out[:, :, idx] = np.matmul(values[:, :, idx].swapaxes(1, 2), inv).swapaxes(1, 2)
+    for (_, idx), block in zip(groups, blocks):
+        out[:, :, idx] = np.matmul(values[:, :, idx].swapaxes(1, 2), block).swapaxes(1, 2)
     return out
 
 
@@ -253,7 +271,7 @@ class _Nuisance:
     """One side's nuisance fits: where each chain last refitted, and the fits."""
 
     refit_at: np.ndarray  # (M, J) candidate limit of each chain's last refit
-    eta_base: np.ndarray  # (J_fitted, M, n) X @ beta of the fitted outcomes
+    eta_base: np.ndarray  # (J_fitted, M, P) X @ beta of the fitted outcomes, per pattern
     warm: dict = field(default_factory=dict)
 
 
@@ -268,46 +286,69 @@ class _StepKernel:
         self.dataset = dataset
         self.M = n_methods
         self.cells = (C, T)
-        self.X, _ = nuisance_design(dataset)
-        self.D = dataset.treatment.astype(float)
+        X, _ = nuisance_design(dataset)
+        D = dataset.treatment.astype(float)
         self.affine_mask = np.array([spec.link == "identity" for spec in specs])
         affine = [j for j in range(J) if self.affine_mask[j]]
         self.fitted = [j for j in range(J) if not self.affine_mask[j]]
         self.links = [specs[j].link for j in self.fitted]
         self.weighted = kind == "weighted"
-        if self.weighted:
-            self.groups = _size_groups(dataset)
-            inverses = _inverse_blocks(dataset, covariances, self.groups)
+        self.Dp = np.empty(0)  # treatment per row pattern, when a link is fitted
 
-        # identity-link rows: (y - Hy, HD, D); other outcomes' rows stay zero
+        # identity-link rows: (y - Hy, HD, D); fitted outcomes' first row: y
         vecs = np.zeros((J, 3, n))
         if affine:
             y = dataset.outcomes[:, affine]
-            Z = np.column_stack([self.D, y])
-            HZ = self.X @ np.linalg.lstsq(self.X, Z, rcond=None)[0]
+            Z = np.column_stack([D, y])
+            HZ = X @ np.linalg.lstsq(X, Z, rcond=None)[0]
             vecs[affine, 0] = (y - HZ[:, 1:]).T
             vecs[affine, 1] = HZ[:, 0]
-            vecs[affine, 2] = self.D
-            if self.weighted:
-                vecs = _solve_blocks(vecs, self.groups, inverses)
-        tabs = np.array([[dataset.cell_totals(v) for v in row] for row in vecs])
+            vecs[affine, 2] = D
+        vecs[self.fitted, 0] = dataset.outcomes[:, self.fitted].T
+        if self.weighted:
+            row_groups = _size_groups(dataset.cluster_obs_indices)
+            inverses = _cluster_inverses(dataset, covariances)
+            vecs = _solve_blocks(vecs, row_groups, _stack_blocks(inverses, row_groups))
+        tabs = np.zeros((J, 3, C, T))
+        for j in affine:
+            tabs[j] = [dataset.cell_totals(v) for v in vecs[j]]
         self.R0, self.HD, self.Dtab = tabs[:, 0], tabs[:, 1], tabs[:, 2]
 
         if self.fitted:
-            self.y = dataset.outcomes[:, self.fitted].T[:, None, :]
+            # per pattern p: g_p * (A - B mu)_p, with A = S^T V^-1 y and
+            # B = S^T V^-1 S for the rows-to-patterns indicator S (V = I
+            # and g = 1 unweighted, so B = diag(counts))
+            pat = dataset.patterns
+            P = len(pat.rep)
+            self.Xp = X[pat.rep]
+            self.Dp = D[pat.rep]
+            self.A = np.array([
+                np.bincount(pat.of_row, weights=vecs[j, 0], minlength=P)
+                for j in self.fitted
+            ])[:, None, :]
             rows = len(self.fitted) * n_methods
             self.n_bins = rows * C * T
-            self.keys = (
-                np.arange(rows)[:, None] * (C * T) + dataset.group_key[None, :]
-            ).ravel()
+            self.keys = (np.arange(rows)[:, None] * (C * T) + pat.cell[None, :]).ravel()
             if self.weighted:
-                self.inverses = [inv[self.fitted] for inv in inverses]
+                first = np.searchsorted(pat.cell // T, np.arange(C + 1))
+                blocks = [np.arange(first[c], first[c + 1]) for c in range(C)]
+                self.pattern_groups = _size_groups(blocks)
+                S = [
+                    (pat.of_row[idx][:, None] == blocks[c]).astype(float)
+                    for c, idx in enumerate(dataset.cluster_obs_indices)
+                ]
+                self.B = _stack_blocks(
+                    [[S[c].T @ inverses[j][c] @ S[c] for c in range(C)] for j in self.fitted],
+                    self.pattern_groups,
+                )
+            else:
+                self.counts = pat.counts
 
     def start(self, limits: np.ndarray) -> _Nuisance:
         """Fit every chain's nuisance parameters at its starting limit."""
         state = _Nuisance(
             refit_at=limits.copy(),
-            eta_base=np.empty((len(self.fitted), self.M, self.dataset.n_obs)),
+            eta_base=np.empty((len(self.fitted), self.M) + self.Dp.shape),
         )
         for i, j in enumerate(self.fitted):
             for m in range(self.M):
@@ -320,7 +361,7 @@ class _StepKernel:
             self.dataset, j, delta_fixed=float(delta), start=state.warm.get((m, i))
         ).nuisance_coefs
         state.warm[(m, i)] = beta
-        state.eta_base[i, m] = self.X @ beta
+        state.eta_base[i, m] = self.Xp @ beta
         state.refit_at[m, j] = delta
 
     def refresh(self, state: _Nuisance, limits: np.ndarray, tol: np.ndarray):
@@ -352,14 +393,16 @@ class _StepKernel:
             - limits[..., None, None] * self.Dtab
         )
         if self.fitted:
-            eta = state.eta_base + limits[:, self.fitted].T[:, :, None] * self.D
-            resid = np.empty_like(eta)
+            eta = state.eta_base + limits[:, self.fitted].T[:, :, None] * self.Dp
+            mu = np.empty_like(eta)
             for i, link in enumerate(self.links):
-                resid[i] = self.y[i] - link_inverse(eta[i], link)
+                mu[i] = link_inverse(eta[i], link)
             if self.weighted:
-                resid = _solve_blocks(resid, self.groups, self.inverses)
+                resid = self.A - _solve_blocks(mu, self.pattern_groups, self.B)
                 for i, link in enumerate(self.links):
                     resid[i] *= 1.0 / mean_derivative(eta[i], link)
+            else:
+                resid = self.A - self.counts * mu
             sums = np.bincount(self.keys, weights=resid.ravel(), minlength=self.n_bins)
             tab[:, self.fitted] = sums.reshape(
                 (len(self.fitted), self.M) + self.cells

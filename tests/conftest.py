@@ -1,5 +1,7 @@
 """Shared fixture builders for the test suite."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -80,53 +82,79 @@ def make_baseline_dataset(n_clusters=6, n_per_cluster=4, seed=0):
     return ds
 
 
-def exact_p_at_null(dataset, outcome_index, delta_star, sided="two_sided",
-                    allocations=None):
-    """Exact permutation p-value at one null value, by full enumeration."""
-    from crtperm.glm import irls_fit
-    from crtperm.permutation import enumerate_allocations
-    from crtperm.statistics import (
-        SignedAllocation,
-        residuals_under_null,
-        unweighted_stat,
-    )
-
-    if allocations is None:
-        allocations = enumerate_allocations(dataset.design)
-    fit = irls_fit(dataset, outcome_index, delta_fixed=delta_star)
-    resid = residuals_under_null(fit, delta_star, dataset, outcome_index)
-    obs = unweighted_stat(resid, SignedAllocation.observed(dataset))
-    vals = np.array([unweighted_stat(resid, a) for a in allocations])
-    if sided == "two_sided":
-        return float(np.mean(np.abs(vals) >= abs(obs)))
-    return float(np.mean(vals >= obs))
-
-
 def grid_inversion_endpoints(dataset, outcome_index, alpha, resolution, span=6.0):
     """Confidence endpoints by brute-force inversion of the exact test.
 
-    Scans the whole grid outward from the point estimate and returns
-    the outermost value on each side at which the exact permutation
-    p-value still exceeds alpha (the p function is a staircase and may
-    wiggle locally, so the scan does not stop at the first crossing).
-    """
-    from crtperm.glm import irls_fit
-    from crtperm.permutation import enumerate_allocations
+    Scans the whole grid of ``span / resolution`` points on each side of
+    the point estimate, ``resolution`` standard errors apart, and
+    returns the outermost value on each side at which the exact
+    permutation p-value (the share of all allocations with
+    |T| >= |T_observed|) still exceeds alpha; the p function is a
+    staircase and may wiggle locally, so the scan does not stop at the
+    first crossing.
 
-    allocations = enumerate_allocations(dataset.design)
-    fit = irls_fit(dataset, outcome_index)
-    theta, se = fit.treatment_effect, fit.naive_se
+    Gaussian outcomes and the unweighted statistic only, written in
+    numpy alone so that it shares no code with the library: the null
+    fit at delta is least squares of y - delta * D on the nuisance
+    design, so its residuals are affine in delta, and every
+    allocation's statistic at a block of grid points is one array
+    expression.  Each statistic is a fixed sequence of sign-symmetric
+    operations, so complementary allocations tie exactly.
+    """
+    n = dataset.n_obs
+    cluster, period = dataset.cluster_index, dataset.period
+    C, T = int(cluster.max()) + 1, int(period.max())
+    y = dataset.outcomes[:, outcome_index]
+    D = dataset.treatment.astype(float)
+    X = np.column_stack(
+        [np.ones(n)] + list(dataset.covariates.T)
+        + [(period == t).astype(float) for t in range(2, T + 1)]
+    )
+
+    # point estimate and model-based standard error of the full OLS fit
+    XD = np.column_stack([X, D])
+    coef = np.linalg.lstsq(XD, y, rcond=None)[0]
+    resid = y - XD @ coef
+    sigma2 = float(resid @ resid) / max(n - XD.shape[1], 1)
+    theta = coef[-1]
+    se = float(np.sqrt(max(np.linalg.pinv(XD.T @ XD)[-1, -1] * sigma2, 0.0)))
+
+    # cell totals of the null residuals (I - H)y - delta (I - H)D
+    cell = cluster * T + (period - 1)
+    def cell_table(v):
+        resid = v - X @ np.linalg.lstsq(X, v, rcond=None)[0]
+        return np.bincount(cell, weights=resid, minlength=C * T).reshape(C, T)
+    Ty, TD = cell_table(y), cell_table(D)
+
+    # signs of every allocation, +1 for treated cells; the observed one first
+    treated_cell = np.zeros((C, T), dtype=bool)
+    treated_cell[cluster, period - 1] = dataset.treatment.astype(bool)
+    start = int(np.flatnonzero(treated_cell.any(axis=0))[0])
+    observed = treated_cell.any(axis=1)
+    subsets = list(combinations(range(C), int(observed.sum())))
+    signs = -np.ones((1 + len(subsets), C, T))
+    signs[0][observed, start:] = 1.0
+    for a, subset in enumerate(subsets, start=1):
+        signs[a, list(subset), start:] = 1.0
+
+    def p_values(deltas):
+        tab = Ty[None] - deltas[:, None, None] * TD[None]  # (K, C, T)
+        cs = signs[None, :, :, 0] * tab[:, None, :, 0]
+        for t in range(1, T):
+            cs = cs + signs[None, :, :, t] * tab[:, None, :, t]
+        stat = np.abs(cs.sum(axis=-1) / np.sqrt((cs * cs).sum(axis=-1)))
+        return np.mean(stat[:, 1:] >= stat[:, :1], axis=1)
+
     step = resolution * se
+    ks = np.arange(1, int(span / resolution) + 1)
     endpoints = []
     for sign in (+1.0, -1.0):
-        last_inside = theta
-        for k in range(1, int(span / resolution) + 1):
-            delta = theta + sign * k * step
-            p = exact_p_at_null(dataset, outcome_index, delta,
-                                allocations=allocations)
-            if p > alpha:
-                last_inside = delta
-        endpoints.append(last_inside)
+        deltas = theta + sign * ks * step
+        # blocks of 64 grid points keep each (points, allocations, clusters)
+        # array to a few MB
+        p = np.concatenate([p_values(deltas[i:i + 64]) for i in range(0, len(deltas), 64)])
+        inside = np.flatnonzero(p > alpha)
+        endpoints.append(deltas[inside[-1]] if inside.size else theta)
     upper, lower = endpoints
     return lower, upper
 

@@ -293,8 +293,10 @@ class TestCriterion7InversionOracle:
         # infinite: complementary allocations share |T|, so the smallest
         # attainable p is 2/20 > alpha.)  The search's final-iterate
         # dispersion at Q=5000 is of the same order as the tolerance, so
-        # the seeds are pinned; measured spread across seeds is in the
-        # decisions ledger.
+        # the seeds are pinned: over search seeds 60-89 the limits land
+        # within it for 17 of 30 seeds (standard deviation of the
+        # limit's distance from the grid endpoint about 0.05 SE for the
+        # upper limit and 0.03 SE for the lower).
         ds = make_gaussian_dataset(
             n_clusters=12, n_per_cluster=5, n_treated=6, effect=0.5, seed=71,
         )

@@ -12,10 +12,11 @@ from crtperm.corrections import (
     adjust_holm,
     adjust_none,
     adjust_romano_wolf,
-    single_step_decision,
 )
 from crtperm.errors import NumericalError
 from crtperm.permutation import StatMatrix, mc_p_value
+
+from test_search import single_step_decision
 
 
 def _matrix_from_counts(counts, M, exact=False):

@@ -5,7 +5,6 @@ import pytest
 
 from crtperm.config import AnalysisConfig
 from crtperm.data import (
-    Observation,
     OutcomeSpec,
     TrialDataset,
     load_dataset,
@@ -111,13 +110,17 @@ class TestValidateDesign:
         assert info.n_periods == 2
 
     def test_treatment_removal_unsupported(self):
-        obs = []
-        for c, pattern in (("A", (1, 0)), ("B", (0, 0))):
-            for t, d in enumerate(pattern, start=1):
-                for _ in range(2):
-                    obs.append(Observation(c, t, d, (0.0,)))
+        # cluster A is treated in period 1 and untreated in period 2
+        ds = TrialDataset(
+            cluster_labels=["A", "B"],
+            cluster_index=np.repeat([0, 1], 4),
+            period=np.tile([1, 1, 2, 2], 2),
+            treatment=[1, 1, 0, 0, 0, 0, 0, 0],
+            outcomes=np.zeros(8),
+            outcome_specs=(OutcomeSpec("y1", "gaussian"),),
+        )
         with pytest.raises(DesignError, match="unsupported design"):
-            TrialDataset.from_observations(obs, (OutcomeSpec("y1", "gaussian"),))
+            validate_design(ds)
 
     def test_idempotent_and_pure(self, gaussian_dataset):
         a = validate_design(gaussian_dataset)
@@ -149,6 +152,48 @@ class TestRoundTrip:
     def test_arrays_are_read_only(self, gaussian_dataset):
         with pytest.raises(ValueError):
             gaussian_dataset.outcomes[0, 0] = 99.0
+
+
+class TestRowPatterns:
+    @pytest.mark.parametrize("covariates", [None, "binary", "continuous"])
+    def test_patterns_group_rows_by_cell_and_covariates(self, covariates):
+        # two periods, shuffled rows, three rows per cell
+        rng = np.random.default_rng(4)
+        C, T, m = 4, 2, 3
+        cluster = np.repeat(np.arange(C), T * m)
+        period = np.tile(np.repeat([1, 2], m), C)
+        shuffle = rng.permutation(len(cluster))
+        cluster, period = cluster[shuffle], period[shuffle]
+        n = len(cluster)
+        x = {None: None, "binary": rng.integers(0, 2, (n, 1)).astype(float),
+             "continuous": rng.normal(size=(n, 1))}[covariates]
+        ds = TrialDataset(
+            cluster_labels=[f"c{c}" for c in range(C)],
+            cluster_index=cluster,
+            period=period,
+            treatment=((cluster % 2 == 1) & (period == 2)).astype(int),
+            outcomes=rng.normal(size=(n, 2)),
+            outcome_specs=(OutcomeSpec("y1", "gaussian"), OutcomeSpec("y2", "gaussian")),
+            covariates=x,
+            covariate_names=() if x is None else ("x1",),
+        )
+        pat = ds.patterns
+        P = len(pat.rep)
+        key = np.column_stack([ds.group_key, ds.covariates])
+        expected = len({tuple(row) for row in key})
+        assert P == expected
+        if covariates is None:
+            assert P == C * T
+        elif covariates == "continuous":
+            assert P == n
+        # every row shares its cell and covariates with its pattern's representative
+        assert np.array_equal(key, key[pat.rep][pat.of_row])
+        assert np.array_equal(pat.cell, ds.group_key[pat.rep])
+        assert np.all(np.diff(pat.cell) >= 0)  # each cluster's patterns are contiguous
+        assert np.array_equal(pat.counts, np.bincount(pat.of_row, minlength=P))
+        for j in range(2):
+            want = [ds.outcomes[pat.of_row == p, j].sum() for p in range(P)]
+            np.testing.assert_allclose(pat.ysum[:, j], want, rtol=1e-14, atol=1e-14)
 
 
 class TestOutcomeSpec:

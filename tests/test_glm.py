@@ -135,6 +135,101 @@ class TestIrlsFit:
             irls_fit(ds, 0, max_iter=1)
         assert ei.value.last_model.n_iter == 1
         assert not ei.value.last_model.converged
+        assert ei.value.last_model.linear_predictor.shape == (n,)
+
+
+def _row_irls(X, y, offset, link):
+    """Row-level reference fit: Newton-IRLS on every row until the step is ~0.
+
+    Returns the coefficients and the model-based standard error of the
+    last one (the inverse information at the fit).
+    """
+    def mean_and_weight(eta):
+        if link == "log":
+            mu = np.exp(eta)
+            return mu, mu
+        mu = 1.0 / (1.0 + np.exp(-eta))
+        return mu, mu * (1.0 - mu)
+
+    beta = np.zeros(X.shape[1])
+    for _ in range(100):
+        mu, w = mean_and_weight(X @ beta + offset)
+        step = np.linalg.solve((X * w[:, None]).T @ X, X.T @ (y - mu))
+        beta = beta + step
+        if np.max(np.abs(step)) < 1e-14:
+            break
+    mu, w = mean_and_weight(X @ beta + offset)
+    cov = np.linalg.inv((X * w[:, None]).T @ X)
+    return beta, float(np.sqrt(cov[-1, -1]))
+
+
+def _pattern_dataset(family, covariate, baseline=False, seed=0):
+    """8 clusters of 9-14 rows per period, shuffled; a covariate of the given kind."""
+    rng = np.random.default_rng(seed)
+    C, T = 8, 2 if baseline else 1
+    sizes = rng.integers(9, 15, size=(C, T))
+    treated = np.zeros(C, dtype=bool)
+    treated[rng.choice(C, size=C // 2, replace=False)] = True
+    cluster = np.repeat(np.arange(C), sizes.sum(axis=1))
+    period = np.concatenate([np.repeat(np.arange(1, T + 1), sizes[c]) for c in range(C)])
+    shuffle = rng.permutation(len(cluster))
+    cluster, period = cluster[shuffle], period[shuffle]
+    n = len(cluster)
+    D = (treated[cluster] & (period == T)).astype(int)
+    x = {
+        None: np.zeros(n),
+        "binary": rng.integers(0, 2, n).astype(float),
+        "continuous": rng.normal(size=n),
+    }[covariate]
+    eta = 0.2 * (period - 1) + 0.4 * D + 0.5 * x + rng.normal(0.0, 0.2, C)[cluster]
+    if family == "poisson":
+        y = rng.poisson(np.exp(0.5 + eta))
+    else:
+        y = rng.binomial(1, 1.0 / (1.0 + np.exp(0.3 - eta)))
+    return _dataset_from_arrays(
+        y, [f"c{c}" for c in cluster], D, family=family,
+        covariates=None if covariate is None else x.reshape(-1, 1),
+        covariate_names=() if covariate is None else ("x1",), period=period,
+    )
+
+
+class TestPatternIrls:
+    """Log and logit fits on row patterns against a row-level reference."""
+
+    @pytest.mark.parametrize("family", ["poisson", "binomial"])
+    @pytest.mark.parametrize(
+        "covariate, baseline",
+        [(None, False), ("binary", False), ("continuous", False), (None, True)],
+        ids=["cells", "binary-covariate", "continuous-covariate", "baseline"],
+    )
+    def test_matches_row_level_fit(self, family, covariate, baseline):
+        ds = _pattern_dataset(family, covariate, baseline)
+        P, n, C, T = len(ds.patterns.rep), ds.n_obs, ds.n_clusters, ds.n_periods
+        if covariate is None:
+            assert P == C * T
+        elif covariate == "binary":
+            assert C * T < P < n
+        else:
+            assert P == n
+        X_nuis, _ = nuisance_design(ds)
+        D = ds.treatment.astype(float)
+        y = ds.outcomes[:, 0]
+
+        fit = irls_fit(ds, 0)
+        beta, se = _row_irls(np.column_stack([X_nuis, D]), y, np.zeros(n), fit.link)
+        got = np.append(fit.nuisance_coefs, fit.treatment_effect)
+        np.testing.assert_allclose(got, beta, rtol=0, atol=1e-10)
+        assert fit.naive_se == pytest.approx(se, rel=0, abs=1e-10)
+        np.testing.assert_allclose(
+            fit.linear_predictor, np.column_stack([X_nuis, D]) @ beta, rtol=0, atol=1e-10
+        )
+
+        pinned = irls_fit(ds, 0, delta_fixed=0.3)
+        beta, _ = _row_irls(X_nuis, y, 0.3 * D, fit.link)
+        np.testing.assert_allclose(pinned.nuisance_coefs, beta, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(
+            pinned.linear_predictor, X_nuis @ beta + 0.3 * D, rtol=0, atol=1e-10
+        )
 
 
 class TestVarianceComponents:

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from crtperm.corrections import single_step_decision
 from crtperm.data import OutcomeSpec, TrialDataset, validate_design
+from crtperm.errors import NumericalError
 from crtperm.glm import (
     CovarianceSpec,
     build_cluster_covariance,
@@ -28,6 +28,40 @@ from crtperm.statistics import (
 )
 
 from conftest import grid_inversion_endpoints, make_gaussian_dataset
+
+
+def single_step_decision(method, observed_stats, permuted_stats, alpha):
+    """Per-outcome reject flags from a single fresh permutation draw.
+
+    The reference for :meth:`StepRule.update`'s decisions, one method
+    at a time.  For the stepdown method, hypotheses are visited in
+    decreasing order of the observed |statistic| (ties by index) and
+    hypothesis r is rejected when the permuted max-|statistic| over the
+    not-yet-stopped set is strictly below the observed value; the
+    first failure stops the walk and all later-ordered hypotheses are
+    accepted.  The other methods compare each outcome's permuted and
+    observed |statistics| directly (their differing strictness enters
+    through the search's alpha schedule).  ``alpha`` is accepted for
+    interface symmetry; the comparisons themselves are level-free.
+    """
+    observed_stats = np.asarray(observed_stats, dtype=float)
+    permuted_stats = np.asarray(permuted_stats, dtype=float)
+    if not (np.all(np.isfinite(observed_stats)) and np.all(np.isfinite(permuted_stats))):
+        raise NumericalError("non-finite statistic in single-draw decision")
+    a_obs = np.abs(observed_stats)
+    a_perm = np.abs(permuted_stats)
+    if method in ("none", "bonferroni", "holm"):
+        return a_perm < a_obs
+    if method == "romano_wolf":
+        order = np.lexsort((np.arange(len(a_obs)), -a_obs))
+        flags = np.zeros(len(a_obs), dtype=bool)
+        for r, j in enumerate(order):
+            if a_perm[order[r:]].max() < a_obs[j]:
+                flags[j] = True
+            else:
+                break
+        return flags
+    raise ValueError(f"unknown correction method: {method!r}")
 
 
 class TestStepConstant:
@@ -292,11 +326,13 @@ class TestRmSearch:
         assert len(b.trace) == 2 * 300 * 2  # sides x steps x outcomes
 
 
-def _mixed_dataset(baseline, seed=0, n_clusters=8):
+def _mixed_dataset(baseline, seed=0, n_clusters=8, covariate=None):
     """Gaussian, Poisson and binary outcomes; unequal cells; shuffled rows.
 
     ``baseline`` gives two periods with everyone untreated in the first,
-    otherwise one period; half the clusters are treated.
+    otherwise one period; half the clusters are treated.  ``covariate``
+    adds one row-level covariate, "binary" (fewer row patterns than
+    rows) or "continuous" (one pattern per row).
     """
     rng = np.random.default_rng(seed)
     C, T = n_clusters, 2 if baseline else 1
@@ -310,6 +346,11 @@ def _mixed_dataset(baseline, seed=0, n_clusters=8):
     n = len(cluster_index)
     D = (treated[cluster_index] & (period == T)).astype(int)
     effect = rng.normal(0.0, 0.3, C)[cluster_index] + 0.2 * (period - 1)
+    x = None
+    if covariate is not None:
+        x = (rng.integers(0, 2, n).astype(float) if covariate == "binary"
+             else rng.normal(size=n))
+        effect = effect + 0.4 * x
     y = np.column_stack([
         1.0 + 0.4 * D + effect + rng.normal(size=n),
         rng.poisson(np.exp(0.5 + 0.3 * D + effect)),
@@ -326,6 +367,8 @@ def _mixed_dataset(baseline, seed=0, n_clusters=8):
             OutcomeSpec("y2", "poisson"),
             OutcomeSpec("y3", "binomial"),
         ),
+        covariates=None if x is None else x.reshape(-1, 1),
+        covariate_names=() if x is None else ("x1",),
     )
     ds.design = validate_design(ds)
     return ds
@@ -408,3 +451,26 @@ class TestStepKernel:
             signs = np.stack([observed.signs, other.signs]).astype(float)
             obs, perm = kernel.evaluate(limits, state, signs)
             assert np.array_equal(np.abs(perm), np.abs(obs))
+
+    @pytest.mark.parametrize("kind", ["unweighted", "weighted"])
+    @pytest.mark.parametrize("covariate", ["binary", "continuous"])
+    def test_covariate_patterns_match_reference_statistic(self, kind, covariate):
+        # row patterns finer than cells: a binary covariate splits each
+        # cell in two, a continuous one makes every row its own pattern
+        # (the complement negates the observed signs only without a baseline)
+        for seed in range(3):
+            baseline = seed == 1
+            ds = _mixed_dataset(baseline, seed=seed, covariate=covariate)
+            P, C, T = len(ds.patterns.rep), ds.n_clusters, ds.n_periods
+            assert C * T < P < ds.n_obs if covariate == "binary" else P == ds.n_obs
+            kernel, state, refit_at, limits, covs = self._kernel(ds, kind, seed)
+            observed = SignedAllocation.observed(ds)
+            complement = SignedAllocation.from_treated(
+                ds.design, [c for c in range(8) if c not in observed.treated]
+            )
+            for other in (observed,) if baseline else (observed, complement):
+                signs = np.stack([observed.signs, other.signs])
+                got = kernel.evaluate(limits, state, signs.astype(float))
+                want = _reference_stats(ds, kind, covs, refit_at, limits, signs)
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+                assert np.array_equal(np.abs(got[1]), np.abs(got[0]))
