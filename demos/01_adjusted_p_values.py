@@ -15,7 +15,6 @@ from crtperm import (
     adjust,
     build_stat_matrix,
     gen_model1,
-    irls_fit,
 )
 
 rng = np.random.default_rng(7)
@@ -31,11 +30,10 @@ dataset = gen_model1(spec, rng)
 print(f"simulated trial: {dataset.n_clusters} clusters, "
       f"{dataset.n_obs} observations, {dataset.n_outcomes} outcomes")
 
-# constrained fits pin the treatment effect at the null being tested;
-# the residuals from these fits stay fixed across all permutations
-null_fits = [irls_fit(dataset, j, delta_fixed=0.0) for j in range(2)]
+# the nuisance fits pin the treatment effect at the null (zero); the
+# residuals from these fits stay fixed across all permutations
 plan = PermutationPlan(n_draws=1000, seed=42)
-matrix = build_stat_matrix(dataset, null_fits, plan)
+matrix = build_stat_matrix(dataset, plan)
 print(f"statistic matrix: {matrix.values.shape[0]} outcomes x "
       f"{matrix.values.shape[1]} allocations (exact={matrix.exact})")
 

@@ -16,7 +16,6 @@ from crtperm import (
     adjust,
     build_stat_matrix,
     gen_model3,
-    irls_fit,
     rm_search,
 )
 
@@ -38,8 +37,7 @@ print(f"design: {dataset.design.scheme}, arms {dataset.design.arm_sizes}, "
 for s in dataset.outcome_specs:
     print(f"  outcome {s.name}: {s.family}/{s.link}")
 
-null_fits = [irls_fit(dataset, j, delta_fixed=0.0) for j in range(3)]
-matrix = build_stat_matrix(dataset, null_fits, PermutationPlan(n_draws=1000, seed=8))
+matrix = build_stat_matrix(dataset, PermutationPlan(n_draws=1000, seed=8))
 adj = adjust(matrix, "romano_wolf")
 cs = rm_search(dataset, "romano_wolf", Q=2000, seed=9)
 

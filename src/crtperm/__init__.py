@@ -68,12 +68,6 @@ from .simulate import (
     generate_dataset,
     run_study,
 )
-from .statistics import (
-    NullResiduals,
-    SignedAllocation,
-    residuals_under_null,
-    unweighted_stat,
-    weighted_stat,
-)
+from .statistics import SignedAllocation
 
 __version__ = "0.1.0"

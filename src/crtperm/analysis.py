@@ -94,10 +94,9 @@ def analyze(
     t_fit = time.perf_counter()
     adjusted = {}
     if perm_methods:
-        null_fits = [irls_fit(dataset, j, delta_fixed=0.0) for j in range(J)]
         plan = PermutationPlan(n_draws=config.n_permutations, seed=perm_seed)
         matrix = build_stat_matrix(
-            dataset, null_fits, plan, kind=config.statistic, covariances=covariances
+            dataset, plan, kind=config.statistic, covariances=covariances
         )
         for m in perm_methods:
             adjusted[m] = adjust(matrix, m, config.sided)

@@ -21,6 +21,9 @@ The JSON layout understood by :meth:`AnalysisConfig.from_dict`::
 ``alpha`` must lie in (0, 0.5), ``seed`` must be non-negative, the
 counts must be whole numbers, and ``n_search_steps`` must be at least
 100; a config that breaks any of these is a :class:`ConfigError`.
+``sided`` may be left out; the only value accepted is ``"two_sided"``,
+because the confidence-limit search is two-sided and the p-values
+must test the same hypotheses.
 
 ``covariance.source`` may instead be ``"fixed"`` with explicit
 ``structure`` / ``sigma2`` / ``tau2`` / ``lambda`` entries, which are
@@ -38,7 +41,6 @@ from .search import MIN_SEARCH_STEPS
 METHODS = ("naive", "none", "bonferroni", "holm", "romano_wolf")
 PERMUTATION_METHODS = ("none", "bonferroni", "holm", "romano_wolf")
 STATISTIC_KINDS = ("unweighted", "weighted")
-SIDES = ("two_sided", "one_sided")
 
 SCHEMA_VERSION = 1
 
@@ -113,8 +115,11 @@ class AnalysisConfig:
         self.methods = tuple(self.methods)
         if self.statistic not in STATISTIC_KINDS:
             raise ConfigError(f"unknown statistic kind: {self.statistic!r}")
-        if self.sided not in SIDES:
-            raise ConfigError(f"unknown sidedness: {self.sided!r}")
+        if self.sided != "two_sided":
+            raise ConfigError(
+                f"sided must be 'two_sided', got {self.sided!r}: the confidence-limit "
+                "search is two-sided, so the p-values are too"
+            )
         if self.covariance_source not in ("estimate", "fixed"):
             raise ConfigError(
                 f"covariance source must be 'estimate' or 'fixed', got "

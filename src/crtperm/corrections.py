@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import NumericalError
 from .permutation import StatMatrix, row_p_value
+from .statistics import beats
 
 CORRECTION_METHODS = ("none", "bonferroni", "holm", "romano_wolf")
 
@@ -95,9 +96,10 @@ def adjust_romano_wolf(matrix: StatMatrix, sided: str = "two_sided") -> Adjusted
     Hypotheses are processed in decreasing order of the observed
     statistic.  At step r the reference distribution is the per-column
     maximum over the not-yet-processed rows, and the step's p-value is
-    the exceedance probability of the observed statistic against it;
-    running maxima enforce monotonicity along the ordering.  With a
-    single outcome this reduces exactly to the unadjusted p-value.
+    the exceedance probability of the observed statistic against it,
+    ties decided by :func:`~crtperm.statistics.beats`; running
+    maxima enforce monotonicity along the ordering.  With a single
+    outcome this reduces exactly to the unadjusted p-value.
     """
     if matrix.n_permutations < 1:
         raise ValueError("stepdown adjustment requires at least one permutation")
@@ -117,7 +119,7 @@ def adjust_romano_wolf(matrix: StatMatrix, sided: str = "two_sided") -> Adjusted
     running = 0.0
     for r, j in enumerate(order):
         colmax = perm_key[order[r:]].max(axis=0)
-        p_step = (add + int(np.sum(colmax >= obs_key[j]))) / (add + ncol)
+        p_step = (add + int(np.sum(~beats(obs_key[j], colmax)))) / (add + ncol)
         running = max(running, p_step)
         adjusted[j] = running
     return AdjustedPValues(

@@ -413,6 +413,36 @@ def build_cluster_covariance(
     return mats
 
 
+def size_groups(blocks) -> list[tuple[list[int], np.ndarray]]:
+    """Clusters grouped by block size: (cluster indices, (C_g, s_g) index stack).
+
+    ``blocks[c]`` holds cluster c's indices, into the rows or into the
+    row patterns.
+    """
+    by_size: dict[int, list[int]] = {}
+    for c, idx in enumerate(blocks):
+        by_size.setdefault(len(idx), []).append(c)
+    return [(clusters, np.stack([blocks[c] for c in clusters])) for clusters in by_size.values()]
+
+
+def cholesky_blocks(dataset: TrialDataset, V: np.ndarray, clusters: list[int]):
+    """Cholesky factors of a stack of covariance blocks, one call for all of them.
+
+    ``V`` has shape (..., C_g, s, s), its (C_g) axis running over
+    ``clusters``.  A block that is not positive definite raises
+    :class:`NumericalError` naming the cluster with the smallest
+    eigenvalue.
+    """
+    try:
+        return cho_factor(V, lower=True)
+    except np.linalg.LinAlgError as exc:
+        eig = np.moveaxis(np.linalg.eigvalsh(V), -2, 0).reshape(len(clusters), -1)
+        worst = clusters[int(np.argmin(eig.min(axis=1)))]
+        raise NumericalError(
+            f"singular covariance matrix for cluster {dataset.cluster_labels[worst]!r}"
+        ) from exc
+
+
 def g_weights(fitted: FittedMeanModel, link: str | None = None) -> np.ndarray:
     """Reciprocal mean-derivative weights, one per observation.
 
@@ -444,18 +474,16 @@ def fgls_gaussian(
     p = X.shape[1]
     xtvx = np.zeros((p, p))
     xtvy = np.zeros(p)
-    for c, idx in enumerate(dataset.cluster_obs_indices):
-        Xc = X[idx]
-        yc = y[idx]
-        try:
-            fac = cho_factor(mats[c], lower=True)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(
-                f"singular working covariance for cluster "
-                f"{dataset.cluster_labels[c]!r}"
-            ) from exc
-        xtvx += Xc.T @ cho_solve(fac, Xc)
-        xtvy += Xc.T @ cho_solve(fac, yc)
+    blocks = dataset.cluster_obs_indices
+    solved: list = [None] * len(blocks)
+    for clusters, idx in size_groups(blocks):
+        fac = cholesky_blocks(dataset, np.array([mats[c] for c in clusters]), clusters)
+        zx, zy = cho_solve(fac, X[idx]), cho_solve(fac, y[idx][..., None])
+        for k, c in enumerate(clusters):
+            solved[c] = (zx[k], zy[k, :, 0])
+    for idx, (zx, zy) in zip(blocks, solved):
+        xtvx += X[idx].T @ zx
+        xtvy += X[idx].T @ zy
     cov = np.linalg.pinv(xtvx)
     beta = cov @ xtvy
     return float(beta[-1]), float(np.sqrt(max(cov[-1, -1], 0.0)))

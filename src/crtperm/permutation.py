@@ -11,6 +11,11 @@ When the allocation space is small (at most ``ENUMERATION_LIMIT``
 subsets) the full space is enumerated instead of sampled and p-values
 become exact permutation probabilities rather than add-one Monte Carlo
 estimates.
+
+The matrix is the statistic kernel of :mod:`crtperm.statistics` at
+the null delta = 0, the kernel the confidence-limit search steps with.
+Exceedance counts use its tie rule, :func:`~crtperm.statistics.beats`:
+a permuted statistic within ``TIE_TOL`` below the observed one ties.
 """
 
 from __future__ import annotations
@@ -23,13 +28,7 @@ import numpy as np
 
 from .data import TrialDataset, DesignInfo
 from .errors import NumericalError
-from .glm import FittedMeanModel, g_weights
-from .statistics import (
-    SignedAllocation,
-    residuals_under_null,
-    stats_from_cell_table,
-    weighted_cell_table,
-)
+from .statistics import SignedAllocation, StepKernel, beats, studentize
 
 ENUMERATION_LIMIT = 20_000
 
@@ -72,7 +71,6 @@ class StatMatrix:
     """
 
     values: np.ndarray
-    delta_star: np.ndarray
     statistic_kind: str
     exact: bool
     seed: int
@@ -122,42 +120,26 @@ def enumerate_allocations(design: DesignInfo) -> list[SignedAllocation]:
 
 def build_stat_matrix(
     dataset: TrialDataset,
-    fits: list[FittedMeanModel],
     plan: PermutationPlan,
     kind: str = "unweighted",
     covariances: list[list[np.ndarray]] | None = None,
 ) -> StatMatrix:
     """Evaluate the chosen statistic for all outcomes over all allocations.
 
-    ``fits`` holds one constrained fit per outcome (its ``delta_fixed``
-    is the null value tested for that outcome).  Residuals and weights
-    are computed once per outcome and reused for every column, keeping
-    the nuisance parameters invariant across permutations.  For the
+    Every outcome is tested at the null delta = 0: the statistic
+    kernel fits the nuisance parameters there once per outcome and
+    signs the resulting cell tables under each allocation, so the
+    nuisance parameters are the same in every column.  For the
     weighted statistic, ``covariances[j]`` is the per-cluster matrix
-    list for outcome j.
+    list for outcome j.  Outcomes are studentized one at a time, so
+    memory grows with the number of allocations, not with outcomes
+    times allocations.
     """
+    kernel = StepKernel(dataset, kind, covariances, 1)
+    null = np.zeros((1, dataset.n_outcomes))
+    tables = kernel.tables(null, kernel.start(null))[0]
+
     design = dataset.design
-    if design is None:
-        raise ValueError("dataset has no validated design")
-    if len(fits) != dataset.n_outcomes:
-        raise ValueError("need exactly one constrained fit per outcome")
-    if kind not in ("unweighted", "weighted"):
-        raise ValueError(f"unknown statistic kind: {kind!r}")
-    if kind == "weighted" and covariances is None:
-        raise ValueError("weighted statistic requires per-outcome covariances")
-
-    tables = []
-    delta_star = np.empty(dataset.n_outcomes)
-    for j, fit in enumerate(fits):
-        resid = residuals_under_null(fit, fit.delta_fixed, dataset, j)
-        delta_star[j] = resid.delta_star
-        if kind == "unweighted":
-            tables.append(resid.cell_table())
-        else:
-            tables.append(
-                weighted_cell_table(resid, covariances[j], g_weights(fit))
-            )
-
     observed = SignedAllocation.observed(dataset)
     exact = plan.use_enumeration(design)
     if exact:
@@ -176,17 +158,14 @@ def build_stat_matrix(
 
     values = np.empty((dataset.n_outcomes, signs.shape[0]))
     for j, table in enumerate(tables):
-        try:
-            values[j] = stats_from_cell_table(table, signs)
-        except NumericalError as exc:
-            raise NumericalError(f"outcome {j}: {exc}") from None
-    return StatMatrix(
-        values=values,
-        delta_star=delta_star,
-        statistic_kind=kind,
-        exact=exact,
-        seed=plan.seed,
-    )
+        values[j] = studentize(table, signs)
+        bad = np.flatnonzero(~np.isfinite(values[j]))
+        if bad.size:
+            raise NumericalError(
+                f"outcome {j}: degenerate statistic: cluster contributions are "
+                f"all zero or not finite (allocation column {int(bad[0])})"
+            )
+    return StatMatrix(values=values, statistic_kind=kind, exact=exact, seed=plan.seed)
 
 
 def _check_row(row: np.ndarray) -> np.ndarray:
@@ -197,12 +176,12 @@ def _check_row(row: np.ndarray) -> np.ndarray:
 
 
 def exceedance_count(row: np.ndarray, sided: str = "two_sided") -> int:
-    """Number of permuted statistics at least as extreme as the observed."""
+    """Number of permuted statistics at least as extreme as the observed, ties included."""
     row = _check_row(row)
     if sided == "two_sided":
-        return int(np.sum(np.abs(row[1:]) >= np.abs(row[0])))
+        return int(np.sum(~beats(np.abs(row[0]), np.abs(row[1:]))))
     if sided == "one_sided":
-        return int(np.sum(row[1:] >= row[0]))
+        return int(np.sum(~beats(row[0], row[1:])))
     raise ValueError(f"unknown sidedness: {sided!r}")
 
 

@@ -17,39 +17,18 @@ Upper and lower limits run as two independent chains of Q steps each.
 Their permutation draws depend only on (seed, side, step), never on
 the method, so all methods are searched together on identical draws.
 
-One step evaluates every (method, outcome) chain at once.  The chains'
-(cluster, period) cell tables form one (M, J, C, T) array; signing it
-under the observed and the drawn allocation stacks the cluster
-contributions as (2, M, J, C), reduced over clusters in one fixed
-order, so an allocation whose contributions equal or negate the
-observed ones ties with it exactly.  The tables come from two sources:
-
-- identity links are affine in the candidate limit delta: after a
-  refit at delta_r the table is ``R0 + delta_r * HD - delta * Dtab``,
-  the cell totals of y - Hy, HD and D (H the nuisance hat matrix),
-  built once per outcome; the weighted statistic applies the inverse
-  working covariances to those three row vectors once, so its tables
-  carry V^{-1} already (and G is one under the identity link);
-- log and logit links work on the dataset's row patterns (distinct
-  (cell, covariate row) combinations, among which the fitted mean
-  h(eta_p) is constant; see :class:`~crtperm.data.RowPatterns`).
-  With S the rows-to-patterns indicator, each pattern's entry is
-  ``g_p * (A - B mu)_p`` with A = S' V^{-1} y and B = S' V^{-1} S
-  compressed once per outcome and cluster, g_p the link-derivative
-  weight and mu_p = h(eta_p); the unweighted statistic is the same
-  formula with V = I and g = 1, i.e. ``ysum_p - count_p * mu_p``.
-  Weighted steps apply B with one batched ``matmul`` per distinct
-  number of patterns per cluster; one ``bincount`` then sums the
-  patterns into cells.  A step's cost grows with the number of
-  patterns, not rows; so does a nuisance refit
-  (:func:`crtperm.glm.irls_fit` iterates on the same patterns), apart
-  from the fit's final gather of its per-row linear predictor.
-
-A chain refits its nuisance parameters only when its limit has moved
-more than ``REFIT_FRACTION`` standard errors since its last refit.
-Decision and update are one masked routine over the (M, J) array,
-:class:`StepRule`, which also pulls a chain whose statistic is not
-finite, or whose refit failed, halfway toward its point estimate.
+One step evaluates every (method, outcome) chain at once with the
+statistic kernel of :mod:`crtperm.statistics` (the kernel the
+permutation matrix uses at delta = 0): the chains' cell tables form one
+(M, J, C, T) array, signed under the observed and the drawn allocation
+and reduced over clusters.  A chain refits its nuisance parameters only
+when its limit has moved more than ``REFIT_FRACTION`` standard errors
+since its last refit.  Decision and update are one masked routine over
+the (M, J) array, :class:`StepRule`, which decides ties with the
+kernel's rule (:func:`~crtperm.statistics.beats`: a permuted
+|statistic| within ``TIE_TOL`` below the observed one is not a
+rejection), and which pulls a chain whose statistic is not finite, or
+whose refit failed, halfway toward its point estimate.
 """
 
 from __future__ import annotations
@@ -59,12 +38,12 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 from scipy.stats import norm
 
 from .data import TrialDataset
 from .errors import NumericalError
-from .glm import FittedMeanModel, irls_fit, link_inverse, mean_derivative, nuisance_design
+from .glm import FittedMeanModel, irls_fit
+from .statistics import StepKernel, beats
 
 #: relative tolerance of the nuisance-refresh rule: refit when the
 #: candidate limit has moved more than this many standard errors since
@@ -123,11 +102,12 @@ class StepRule:
 
     Row m of the (M, J) arrays belongs to ``methods[m]``; ``theta``
     holds the J point estimates.  A chain rejects when its permuted
-    |statistic| is strictly below the observed one; the stepdown rows
+    |statistic| is below the observed one and does not tie with it
+    (:func:`~crtperm.statistics.beats`); the stepdown rows
     instead walk the outcomes by decreasing observed |statistic| and
     reject while the largest permuted value among the outcomes not yet
-    visited stays below, and the holm rows take alpha* from the
-    multiplier ladder in that same order.  Only the good chains take
+    visited stays below in that sense, and the holm rows take alpha*
+    from the multiplier ladder in that same order.  Only the good chains take
     part in a step's ordering and walk.
     """
 
@@ -171,14 +151,14 @@ class StepRule:
         if good is not None:
             a = np.where(good, a, -np.inf)
         a_obs, a_perm = a
-        flags = a_perm < a_obs
+        flags = beats(a_obs, a_perm)
         levels = self.levels
         if self.ordered:
             order = np.argsort(-a_obs, axis=1, kind="stable")
             rank = np.argsort(order, axis=1)
             sorted_obs, sorted_perm = a[:, self.rows, order]
             suffix = np.maximum.accumulate(sorted_perm[:, ::-1], axis=1)[:, ::-1]
-            walk = np.logical_and.accumulate(suffix < sorted_obs, axis=1)
+            walk = np.logical_and.accumulate(beats(sorted_obs, suffix), axis=1)
             flags = np.where(self.stepdown, walk[self.rows, rank], flags)
             levels = np.where(self.holm, self.ladder[:, rank], levels)
         reject_frac, accept_frac, k = levels
@@ -217,215 +197,6 @@ class ConfidenceSet:
     trace: list | None = field(default=None, repr=False)
 
 
-def _size_groups(blocks) -> list[tuple[list[int], np.ndarray]]:
-    """Clusters grouped by block size: (cluster indices, (C_g, s_g) index stack).
-
-    ``blocks[c]`` holds cluster c's indices, into the rows or into the
-    row patterns.
-    """
-    by_size: dict[int, list[int]] = {}
-    for c, idx in enumerate(blocks):
-        by_size.setdefault(len(idx), []).append(c)
-    return [
-        (clusters, np.stack([blocks[c] for c in clusters]))
-        for clusters in by_size.values()
-    ]
-
-
-def _cluster_inverses(dataset, covariances) -> list[list[np.ndarray]]:
-    """Inverse working covariance of every (outcome, cluster)."""
-    inverses: list[list[np.ndarray]] = []
-    for outcome_covariances in covariances:
-        inverses.append([])
-        for c, V in enumerate(outcome_covariances):
-            try:
-                fac = cho_factor(V, lower=True)
-            except np.linalg.LinAlgError as exc:
-                raise NumericalError(
-                    f"singular covariance matrix for cluster "
-                    f"{dataset.cluster_labels[c]!r}"
-                ) from exc
-            inverses[-1].append(cho_solve(fac, np.eye(len(V))))
-    return inverses
-
-
-def _stack_blocks(blocks, groups) -> list[np.ndarray]:
-    """Per (outcome, cluster) square blocks as one (J, C_g, s_g, s_g) stack per group."""
-    return [np.array([[b[c] for c in clusters] for b in blocks]) for clusters, _ in groups]
-
-
-def _solve_blocks(values, groups, blocks) -> np.ndarray:
-    """Each cluster's block of ``values`` (K, L, N) times its square block.
-
-    ``blocks[g]`` has shape (K, C_g, s_g, s_g): one stack per leading
-    row, so one ``matmul`` serves every cluster of one size.
-    """
-    out = np.empty_like(values)
-    for (_, idx), block in zip(groups, blocks):
-        out[:, :, idx] = np.matmul(values[:, :, idx].swapaxes(1, 2), block).swapaxes(1, 2)
-    return out
-
-
-@dataclass
-class _Nuisance:
-    """One side's nuisance fits: where each chain last refitted, and the fits."""
-
-    refit_at: np.ndarray  # (M, J) candidate limit of each chain's last refit
-    eta_base: np.ndarray  # (J_fitted, M, P) X @ beta of the fitted outcomes, per pattern
-    warm: dict = field(default_factory=dict)
-
-
-class _StepKernel:
-    """Every chain's observed and permuted statistic at one search step."""
-
-    def __init__(self, dataset: TrialDataset, kind: str, covariances, n_methods: int):
-        design = dataset.design
-        specs = dataset.outcome_specs
-        J, n = dataset.n_outcomes, dataset.n_obs
-        C, T = design.n_clusters, design.n_periods
-        self.dataset = dataset
-        self.M = n_methods
-        self.cells = (C, T)
-        X, _ = nuisance_design(dataset)
-        D = dataset.treatment.astype(float)
-        self.affine_mask = np.array([spec.link == "identity" for spec in specs])
-        affine = [j for j in range(J) if self.affine_mask[j]]
-        self.fitted = [j for j in range(J) if not self.affine_mask[j]]
-        self.links = [specs[j].link for j in self.fitted]
-        self.weighted = kind == "weighted"
-        self.Dp = np.empty(0)  # treatment per row pattern, when a link is fitted
-
-        # identity-link rows: (y - Hy, HD, D); fitted outcomes' first row: y
-        vecs = np.zeros((J, 3, n))
-        if affine:
-            y = dataset.outcomes[:, affine]
-            Z = np.column_stack([D, y])
-            HZ = X @ np.linalg.lstsq(X, Z, rcond=None)[0]
-            vecs[affine, 0] = (y - HZ[:, 1:]).T
-            vecs[affine, 1] = HZ[:, 0]
-            vecs[affine, 2] = D
-        vecs[self.fitted, 0] = dataset.outcomes[:, self.fitted].T
-        if self.weighted:
-            row_groups = _size_groups(dataset.cluster_obs_indices)
-            inverses = _cluster_inverses(dataset, covariances)
-            vecs = _solve_blocks(vecs, row_groups, _stack_blocks(inverses, row_groups))
-        tabs = np.zeros((J, 3, C, T))
-        for j in affine:
-            tabs[j] = [dataset.cell_totals(v) for v in vecs[j]]
-        self.R0, self.HD, self.Dtab = tabs[:, 0], tabs[:, 1], tabs[:, 2]
-
-        if self.fitted:
-            # per pattern p: g_p * (A - B mu)_p, with A = S^T V^-1 y and
-            # B = S^T V^-1 S for the rows-to-patterns indicator S (V = I
-            # and g = 1 unweighted, so B = diag(counts))
-            pat = dataset.patterns
-            P = len(pat.rep)
-            self.Xp = X[pat.rep]
-            self.Dp = D[pat.rep]
-            self.A = np.array([
-                np.bincount(pat.of_row, weights=vecs[j, 0], minlength=P)
-                for j in self.fitted
-            ])[:, None, :]
-            rows = len(self.fitted) * n_methods
-            self.n_bins = rows * C * T
-            self.keys = (np.arange(rows)[:, None] * (C * T) + pat.cell[None, :]).ravel()
-            if self.weighted:
-                first = np.searchsorted(pat.cell // T, np.arange(C + 1))
-                blocks = [np.arange(first[c], first[c + 1]) for c in range(C)]
-                self.pattern_groups = _size_groups(blocks)
-                S = [
-                    (pat.of_row[idx][:, None] == blocks[c]).astype(float)
-                    for c, idx in enumerate(dataset.cluster_obs_indices)
-                ]
-                self.B = _stack_blocks(
-                    [[S[c].T @ inverses[j][c] @ S[c] for c in range(C)] for j in self.fitted],
-                    self.pattern_groups,
-                )
-            else:
-                self.counts = pat.counts
-
-    def start(self, limits: np.ndarray) -> _Nuisance:
-        """Fit every chain's nuisance parameters at its starting limit."""
-        state = _Nuisance(
-            refit_at=limits.copy(),
-            eta_base=np.empty((len(self.fitted), self.M) + self.Dp.shape),
-        )
-        for i, j in enumerate(self.fitted):
-            for m in range(self.M):
-                self._refit(state, m, i, limits[m, j])
-        return state
-
-    def _refit(self, state: _Nuisance, m: int, i: int, delta: float) -> None:
-        j = self.fitted[i]
-        beta = irls_fit(
-            self.dataset, j, delta_fixed=float(delta), start=state.warm.get((m, i))
-        ).nuisance_coefs
-        state.warm[(m, i)] = beta
-        state.eta_base[i, m] = self.Xp @ beta
-        state.refit_at[m, j] = delta
-
-    def refresh(self, state: _Nuisance, limits: np.ndarray, tol: np.ndarray):
-        """Refit the chains whose limit moved more than ``tol`` since their last refit.
-
-        Returns None when every refit succeeded, else an (M, J) mask
-        that is False where one failed.
-        """
-        stale = np.abs(limits - state.refit_at) > tol
-        if not stale.any():
-            return None
-        moved = stale & self.affine_mask
-        state.refit_at[moved] = limits[moved]
-        ok = None
-        for i, j in enumerate(self.fitted):
-            for m in np.flatnonzero(stale[:, j]):
-                try:
-                    self._refit(state, m, i, limits[m, j])
-                except NumericalError:
-                    if ok is None:
-                        ok = np.ones(limits.shape, dtype=bool)
-                    ok[m, j] = False
-        return ok
-
-    def tables(self, limits: np.ndarray, state: _Nuisance) -> np.ndarray:
-        """Cell tables of every chain at its candidate limit, shape (M, J, C, T)."""
-        tab = (
-            self.R0 + state.refit_at[..., None, None] * self.HD
-            - limits[..., None, None] * self.Dtab
-        )
-        if self.fitted:
-            eta = state.eta_base + limits[:, self.fitted].T[:, :, None] * self.Dp
-            mu = np.empty_like(eta)
-            for i, link in enumerate(self.links):
-                mu[i] = link_inverse(eta[i], link)
-            if self.weighted:
-                resid = self.A - _solve_blocks(mu, self.pattern_groups, self.B)
-                for i, link in enumerate(self.links):
-                    resid[i] *= 1.0 / mean_derivative(eta[i], link)
-            else:
-                resid = self.A - self.counts * mu
-            sums = np.bincount(self.keys, weights=resid.ravel(), minlength=self.n_bins)
-            tab[:, self.fitted] = sums.reshape(
-                (len(self.fitted), self.M) + self.cells
-            ).swapaxes(0, 1)
-        return tab
-
-    def evaluate(self, limits: np.ndarray, state: _Nuisance, signs: np.ndarray) -> np.ndarray:
-        """Observed and permuted statistics of every chain, shape (2, M, J).
-
-        ``signs`` holds the (C, T) treatment signs (+1 treated, -1 not)
-        of the observed and of the permuted allocation, shape (2, C, T).
-        Cluster contributions accumulate period by period, as in
-        :func:`crtperm.statistics.stats_from_cell_table`.
-        """
-        with np.errstate(over="ignore", invalid="ignore"):
-            tab = self.tables(limits, state)
-            signs = signs[:, None, None]
-            cs = signs[..., 0] * tab[..., 0]
-            for t in range(1, tab.shape[-1]):
-                cs = cs + signs[..., t] * tab[..., t]
-            return cs.sum(axis=-1) / np.sqrt((cs * cs).sum(axis=-1))
-
-
 def _search_limits(
     dataset: TrialDataset,
     methods: list[str],
@@ -440,15 +211,10 @@ def _search_limits(
     """Run the upper and lower chains for several methods on shared draws."""
     if Q < MIN_SEARCH_STEPS:
         raise ValueError(f"the search needs at least {MIN_SEARCH_STEPS} steps")
-    if dataset.design is None:
-        raise ValueError("dataset has no validated design")
-    if kind not in ("unweighted", "weighted"):
-        raise ValueError(f"unknown statistic kind: {kind!r}")
-    if kind == "weighted" and covariances is None:
-        raise ValueError("weighted statistic requires per-outcome covariances")
+    M = len(methods)
+    kernel = StepKernel(dataset, kind, covariances, M)
     design = dataset.design
     J = dataset.n_outcomes
-    M = len(methods)
     if point_fits is None:
         point_fits = [irls_fit(dataset, j) for j in range(J)]
     theta = np.array([f.treatment_effect for f in point_fits], dtype=float)
@@ -463,7 +229,6 @@ def _search_limits(
             f"cannot permute a design with an empty arm (arm sizes {design.arm_sizes})"
         )
     rule = StepRule(methods, alpha, theta)
-    kernel = _StepKernel(dataset, kind, covariances, M)
     tol = REFIT_FRACTION * ses
     start = design.treatment_start_period - 1
     signs = -np.ones((2, C, design.n_periods))

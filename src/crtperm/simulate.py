@@ -65,15 +65,6 @@ def psd_factor(covariance: np.ndarray) -> np.ndarray:
     return vecs * np.sqrt(np.clip(vals, 0.0, None))
 
 
-def mvn_sample(
-    mean: np.ndarray, covariance: np.ndarray, rng_stream: np.random.Generator
-) -> np.ndarray:
-    """One multivariate normal draw via a PSD factor of the covariance."""
-    mean = np.asarray(mean, dtype=float)
-    L = psd_factor(covariance)
-    return mean + L @ rng_stream.standard_normal(len(mean))
-
-
 def _mvn_batch(cov: np.ndarray, size: int, rng: np.random.Generator) -> np.ndarray:
     """(size, dim) zero-mean draws sharing one factorization."""
     L = psd_factor(cov)
@@ -454,12 +445,11 @@ def _one_replicate(args) -> dict:
         covariances = _study_covariances(study, dataset, point_fits)
 
     if perm_methods:
-        null_fits = [irls_fit(dataset, j, delta_fixed=0.0) for j in range(J)]
         plan = PermutationPlan(
             n_draws=study.n_permutations, seed=perm_seed, enumerate_exact=False
         )
         matrix = build_stat_matrix(
-            dataset, null_fits, plan, kind=study.statistic, covariances=covariances
+            dataset, plan, kind=study.statistic, covariances=covariances
         )
         search_sets = {}
         if study.run_search:

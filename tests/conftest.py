@@ -1,11 +1,13 @@
 """Shared fixture builders for the test suite."""
 
+import math
 from itertools import combinations
 
 import numpy as np
 import pytest
 
 from crtperm.data import OutcomeSpec, TrialDataset, validate_design
+from crtperm.glm import nuisance_design
 
 
 def make_gaussian_dataset(
@@ -80,6 +82,91 @@ def make_baseline_dataset(n_clusters=6, n_per_cluster=4, seed=0):
     )
     ds.design = validate_design(ds)
     return ds
+
+
+def make_mixed_dataset(baseline, seed=0, n_clusters=8, covariate=None):
+    """Gaussian, Poisson and binary outcomes; unequal cells; shuffled rows.
+
+    ``baseline`` gives two periods with everyone untreated in the first,
+    otherwise one period; half the clusters are treated.  ``covariate``
+    adds one row-level covariate, "binary" (fewer row patterns than
+    rows) or "continuous" (one pattern per row).
+    """
+    rng = np.random.default_rng(seed)
+    C, T = n_clusters, 2 if baseline else 1
+    sizes = rng.integers(2, 7, size=(C, T))
+    treated = np.zeros(C, dtype=bool)
+    treated[rng.choice(C, size=C // 2, replace=False)] = True
+    cluster_index = np.repeat(np.arange(C), sizes.sum(axis=1))
+    period = np.concatenate([np.repeat(np.arange(1, T + 1), sizes[c]) for c in range(C)])
+    shuffle = rng.permutation(len(cluster_index))
+    cluster_index, period = cluster_index[shuffle], period[shuffle]
+    n = len(cluster_index)
+    D = (treated[cluster_index] & (period == T)).astype(int)
+    effect = rng.normal(0.0, 0.3, C)[cluster_index] + 0.2 * (period - 1)
+    x = None
+    if covariate is not None:
+        x = (rng.integers(0, 2, n).astype(float) if covariate == "binary"
+             else rng.normal(size=n))
+        effect = effect + 0.4 * x
+    y = np.column_stack([
+        1.0 + 0.4 * D + effect + rng.normal(size=n),
+        rng.poisson(np.exp(0.5 + 0.3 * D + effect)),
+        rng.binomial(1, 1.0 / (1.0 + np.exp(0.3 - 0.5 * D - effect))),
+    ])
+    ds = TrialDataset(
+        cluster_labels=[f"c{c}" for c in range(C)],
+        cluster_index=cluster_index,
+        period=period,
+        treatment=D,
+        outcomes=y,
+        outcome_specs=(
+            OutcomeSpec("y1", "gaussian"),
+            OutcomeSpec("y2", "poisson"),
+            OutcomeSpec("y3", "binomial"),
+        ),
+        covariates=None if x is None else x.reshape(-1, 1),
+        covariate_names=() if x is None else ("x1",),
+    )
+    ds.design = validate_design(ds)
+    return ds
+
+
+def reference_table(ds, j, beta, delta, covariances=None):
+    """Outcome j's (C, T) statistic table at ``delta``, written out in plain numpy.
+
+    Residuals are y - h(X beta + delta D) with the nuisance design X;
+    the weighted table (``covariances``: one matrix per cluster) holds
+    G * V_c^{-1} r_c per cluster, solved directly, with G = 1 / h'(eta).
+    Each cell is an exactly rounded sum.
+    """
+    X, _ = nuisance_design(ds)
+    eta = X @ beta + delta * ds.treatment
+    link = ds.outcome_specs[j].link
+    if link == "identity":
+        mu, G = eta, np.ones_like(eta)
+    elif link == "log":
+        mu = np.exp(eta)
+        G = 1.0 / mu
+    else:
+        mu = 1.0 / (1.0 + np.exp(-eta))
+        G = 1.0 / (mu * (1.0 - mu))
+    w = ds.outcomes[:, j] - mu
+    if covariances is not None:
+        w = w.copy()
+        for c, idx in enumerate(ds.cluster_obs_indices):
+            w[idx] = G[idx] * np.linalg.solve(covariances[c], w[idx])
+    C, T = ds.n_clusters, int(ds.period.max())
+    return np.array([
+        [math.fsum(w[(ds.cluster_index == c) & (ds.period == t + 1)]) for t in range(T)]
+        for c in range(C)
+    ])
+
+
+def reference_stat(table, signs):
+    """sum_c r_c / sqrt(sum_c r_c^2) with r_c = sum_t signs[c, t] * table[c, t], exactly summed."""
+    r = [math.fsum(s * x for s, x in zip(srow, trow)) for srow, trow in zip(signs, table)]
+    return math.fsum(r) / math.sqrt(math.fsum(x * x for x in r))
 
 
 def grid_inversion_endpoints(dataset, outcome_index, alpha, resolution, span=6.0):

@@ -23,7 +23,7 @@ from crtperm.permutation import (
 )
 from crtperm.search import rm_search
 from crtperm.simulate import DgpSpec, StudySpec, resolve_workers, run_study
-from crtperm.statistics import SignedAllocation, residuals_under_null, unweighted_stat
+from crtperm.statistics import SignedAllocation, StepKernel, studentize
 
 from conftest import grid_inversion_endpoints, make_gaussian_dataset
 
@@ -210,15 +210,14 @@ class TestCriterion6ExactOracleEquivalence:
             n_clusters=6, n_per_cluster=5, n_treated=3, n_outcomes=2,
             effect=effect, cluster_sd=0.2, seed=seed,
         )
-        fits = [irls_fit(ds, j, delta_fixed=0.0) for j in range(2)]
-        exact = build_stat_matrix(ds, fits, PermutationPlan(n_draws=0, seed=0))
+        exact = build_stat_matrix(ds, PermutationPlan(n_draws=0, seed=0))
         assert exact.exact and exact.values.shape[1] == 21
-        return ds, fits, exact
+        return ds, exact
 
     def test_monte_carlo_matches_exact(self):
-        ds, fits, exact = self._exhaustive_fixture()
+        ds, exact = self._exhaustive_fixture()
         sampled = build_stat_matrix(
-            ds, fits, PermutationPlan(n_draws=10_000, seed=7, enumerate_exact=False)
+            ds, PermutationPlan(n_draws=10_000, seed=7, enumerate_exact=False)
         )
         ok = True
         details = []
@@ -232,7 +231,7 @@ class TestCriterion6ExactOracleEquivalence:
 
     @pytest.mark.parametrize("seed", FIXTURE_SEEDS)
     def test_stepdown_matches_handcoded_idealised_walk(self, seed):
-        ds, fits, exact = self._exhaustive_fixture(seed=seed, effect=0.45 if seed != 61 else 0.9)
+        ds, exact = self._exhaustive_fixture(seed=seed, effect=0.45 if seed != 61 else 0.9)
         adj = adjust_romano_wolf(exact)
 
         # independent reimplementation: plain loops over the enumerated
@@ -346,22 +345,18 @@ class TestCriterion9PropertySuites:
                 cluster_sd=float(rng.uniform(0.05, 0.6)),
                 seed=int(rng.integers(0, 2**31)),
             )
-            fits = [irls_fit(ds, j, delta_fixed=0.0) for j in range(J)]
-            resid = residuals_under_null(fits[0], 0.0, ds, 0)
+            kernel = StepKernel(ds, "unweighted", None, 1)
+            null = np.zeros((1, J))
+            table = kernel.tables(null, kernel.start(null))[0, 0]
             alloc = SignedAllocation.observed(ds)
-            flipped = SignedAllocation(
-                signs=-alloc.signs,
-                treated=tuple(c for c in range(C) if c not in alloc.treated),
-            )
             # antisymmetry and studentization scale invariance
-            t = unweighted_stat(resid, alloc)
-            assert unweighted_stat(resid, flipped) == pytest.approx(-t, abs=1e-12)
-            scaled = residuals_under_null(fits[0], 0.0, ds, 0)
-            scaled.values = 3.0 * scaled.values
-            assert unweighted_stat(scaled, alloc) == pytest.approx(t, abs=1e-12)
+            t, t_flipped = studentize(table, np.stack([alloc.signs, -alloc.signs]))
+            assert t_flipped == pytest.approx(-t, abs=1e-12)
+            t_scaled = studentize(3.0 * table, alloc.signs[None])[0]
+            assert t_scaled == pytest.approx(t, abs=1e-12)
 
             plan = PermutationPlan(n_draws=60, seed=i, enumerate_exact=False)
-            matrix = build_stat_matrix(ds, fits, plan)
+            matrix = build_stat_matrix(ds, plan)
             p_un = adjust_none(matrix).p_adjusted
             p_holm = adjust_holm(matrix).p_adjusted
             p_bonf = adjust_bonferroni(matrix).p_adjusted
@@ -374,7 +369,7 @@ class TestCriterion9PropertySuites:
             for p in (p_un, p_holm, p_bonf, rw.p_adjusted):
                 assert np.all((p > 0) & (p <= 1))
             # determinism of the matrix build
-            again = build_stat_matrix(ds, fits, plan)
+            again = build_stat_matrix(ds, plan)
             assert np.array_equal(matrix.values, again.values)
             checked += 1
         _report(9, checked == self.N_FIXTURES,

@@ -238,6 +238,22 @@ class TestConfigErrors:
         ])
         self._assert_config_error(code, capsys, "seed must be non-negative")
 
+    def test_analyze_rejects_one_sided(self, tmp_path, capsys):
+        # p-values and limits must test the same hypotheses, and the
+        # confidence-limit search is two-sided
+        data, _ = _write_data(tmp_path)
+        cfg = _analysis_config(
+            tmp_path, [{"name": "y1", "family": "gaussian"}], sided="one_sided"
+        )
+        code = main([
+            "analyze", "--data", str(data), "--config", str(cfg),
+            "--out", str(tmp_path / "o.json"),
+        ])
+        self._assert_config_error(
+            code, capsys,
+            "sided must be 'two_sided', got 'one_sided': the confidence-limit search is two-sided",
+        )
+
     def test_analyze_has_no_threads_flag(self, tmp_path, capsys):
         # the analysis runs on one thread; only simulate takes a worker cap
         data, _ = _write_data(tmp_path)

@@ -29,7 +29,6 @@ def _matrix_from_counts(counts, M, exact=False):
         values[j, 1 + cnt :] = 0.1
     return StatMatrix(
         values=values,
-        delta_star=np.zeros(J),
         statistic_kind="unweighted",
         exact=exact,
         seed=0,
@@ -40,7 +39,6 @@ def _matrix(obs, perms, exact=False):
     values = np.column_stack([np.asarray(obs, dtype=float), np.asarray(perms, dtype=float)])
     return StatMatrix(
         values=values,
-        delta_star=np.zeros(len(obs)),
         statistic_kind="unweighted",
         exact=exact,
         seed=0,

@@ -3,22 +3,33 @@
 import numpy as np
 import pytest
 
-import crtperm.permutation as perm_mod
+import crtperm.statistics as stat_mod
+from crtperm.corrections import adjust_romano_wolf
+from crtperm.data import OutcomeSpec, TrialDataset, validate_design
 from crtperm.errors import NumericalError
 from crtperm.glm import irls_fit
 from crtperm.permutation import (
     PermutationPlan,
+    StatMatrix,
     build_stat_matrix,
     draw_rng,
     enumerate_allocations,
     exact_p_value,
+    exceedance_count,
     mc_p_value,
     n_allocations,
     sample_allocation,
 )
-from crtperm.statistics import SignedAllocation, residuals_under_null, unweighted_stat
+from crtperm.search import StepRule
+from crtperm.statistics import TIE_TOL, SignedAllocation
 
-from conftest import make_baseline_dataset, make_gaussian_dataset
+from conftest import (
+    make_baseline_dataset,
+    make_gaussian_dataset,
+    make_mixed_dataset,
+    reference_stat,
+    reference_table,
+)
 
 
 class TestSampleAllocation:
@@ -68,16 +79,13 @@ class TestSampleAllocation:
 class TestBuildStatMatrix:
     def test_zero_draws_gives_observed_only(self):
         ds = make_gaussian_dataset(n_outcomes=2, seed=3)
-        fits = [irls_fit(ds, j, delta_fixed=0.0) for j in range(2)]
         plan = PermutationPlan(n_draws=0, seed=1, enumerate_exact=False)
-        m = build_stat_matrix(ds, fits, plan)
+        m = build_stat_matrix(ds, plan)
         assert m.values.shape == (2, 1)
         assert not m.exact
 
     def test_duplicated_outcome_rows_identical(self):
         base = make_gaussian_dataset(n_outcomes=1, seed=4)
-        from crtperm.data import OutcomeSpec, TrialDataset, validate_design
-
         doubled = TrialDataset(
             cluster_labels=base.cluster_labels,
             cluster_index=base.cluster_index,
@@ -87,43 +95,41 @@ class TestBuildStatMatrix:
             outcome_specs=(OutcomeSpec("y1", "gaussian"), OutcomeSpec("y2", "gaussian")),
         )
         doubled.design = validate_design(doubled)
-        fits = [irls_fit(doubled, j, delta_fixed=0.0) for j in range(2)]
-        m = build_stat_matrix(doubled, fits, PermutationPlan(n_draws=40, seed=2, enumerate_exact=False))
+        m = build_stat_matrix(doubled, PermutationPlan(n_draws=40, seed=2, enumerate_exact=False))
         assert np.array_equal(m.values[0], m.values[1])
 
     def test_exhaustive_matches_per_allocation_oracle(self):
         ds = make_gaussian_dataset(n_clusters=4, n_per_cluster=3, n_treated=2, seed=5)
-        fit = irls_fit(ds, 0, delta_fixed=0.0)
-        m = build_stat_matrix(ds, [fit], PermutationPlan(n_draws=0, seed=0))
+        m = build_stat_matrix(ds, PermutationPlan(n_draws=0, seed=0))
         assert m.exact
         assert m.values.shape == (1, 7)  # observed + C(4,2) columns
-        resid = residuals_under_null(fit, 0.0, ds, 0)
+        beta = irls_fit(ds, 0, delta_fixed=0.0).nuisance_coefs
+        table = reference_table(ds, 0, beta, 0.0)
         for col, alloc in enumerate(enumerate_allocations(ds.design), start=1):
             assert m.values[0, col] == pytest.approx(
-                unweighted_stat(resid, alloc), abs=1e-12
+                reference_stat(table, alloc.signs), abs=1e-12
             )
 
     def test_bitwise_determinism(self):
         ds = make_gaussian_dataset(n_outcomes=2, seed=6)
-        fits = [irls_fit(ds, j, delta_fixed=0.0) for j in range(2)]
         plan = PermutationPlan(n_draws=100, seed=77, enumerate_exact=False)
-        a = build_stat_matrix(ds, fits, plan)
-        b = build_stat_matrix(ds, fits, plan)
+        a = build_stat_matrix(ds, plan)
+        b = build_stat_matrix(ds, plan)
         assert np.array_equal(a.values, b.values)
 
     def test_nuisance_computed_once_per_outcome(self, monkeypatch):
-        ds = make_gaussian_dataset(n_outcomes=2, seed=8)
-        fits = [irls_fit(ds, j, delta_fixed=0.0) for j in range(2)]
+        # one null fit per log/logit outcome; identity outcomes need none
+        ds = make_mixed_dataset(baseline=True, seed=8)
         calls = []
-        original = perm_mod.residuals_under_null
+        original = stat_mod.irls_fit
 
-        def spy(*args, **kwargs):
-            calls.append(args[3] if len(args) > 3 else kwargs.get("outcome_index"))
-            return original(*args, **kwargs)
+        def spy(dataset, j, **kwargs):
+            calls.append((j, kwargs["delta_fixed"]))
+            return original(dataset, j, **kwargs)
 
-        monkeypatch.setattr(perm_mod, "residuals_under_null", spy)
-        build_stat_matrix(ds, fits, PermutationPlan(n_draws=60, seed=1, enumerate_exact=False))
-        assert sorted(calls) == [0, 1]
+        monkeypatch.setattr(stat_mod, "irls_fit", spy)
+        build_stat_matrix(ds, PermutationPlan(n_draws=60, seed=1, enumerate_exact=False))
+        assert sorted(calls) == [(1, 0.0), (2, 0.0)]
 
 
 class TestMcPValue:
@@ -165,14 +171,73 @@ class TestExactVersusMonteCarlo:
         # 6 clusters, 3 treated: 20 allocations enumerated exactly
         ds = make_gaussian_dataset(n_clusters=6, n_per_cluster=5, n_treated=3,
                                    effect=0.8, seed=10)
-        fit = irls_fit(ds, 0, delta_fixed=0.0)
-        exact_m = build_stat_matrix(ds, [fit], PermutationPlan(n_draws=0, seed=0))
+        exact_m = build_stat_matrix(ds, PermutationPlan(n_draws=0, seed=0))
         assert exact_m.exact and exact_m.values.shape == (1, 21)
         p_exact = exact_p_value(exact_m.values[0])
 
         sampled = build_stat_matrix(
-            ds, [fit], PermutationPlan(n_draws=10_000, seed=3, enumerate_exact=False)
+            ds, PermutationPlan(n_draws=10_000, seed=3, enumerate_exact=False)
         )
         p_mc = mc_p_value(sampled.values[0])
         se = np.sqrt(p_exact * (1 - p_exact) / 10_000)
         assert abs(p_mc - p_exact) < 3 * se + 2 / 10_001
+
+
+class TestTieRule:
+    """A permuted |T| within TIE_TOL below |T_obs| ties with it in every decider."""
+
+    BELOW = 1.0 - 2.0**-52  # 2.2e-16 under |T_obs| = 1
+
+    def test_rounding_gap_counts_as_tie(self):
+        assert 1.0 - self.BELOW < TIE_TOL
+        row = np.array([1.0, -self.BELOW, 0.5, 0.25])
+        assert exceedance_count(row) == 1
+        assert exceedance_count(np.array([1.0, self.BELOW, 0.5]), "one_sided") == 1
+        assert mc_p_value(row) == pytest.approx(2 / 4)
+        matrix = StatMatrix(values=row[None], statistic_kind="unweighted", exact=False, seed=0)
+        assert adjust_romano_wolf(matrix).p_adjusted[0] == pytest.approx(2 / 4)
+        # the search treats the same gap as a non-rejection, in every rule
+        methods = ["none", "bonferroni", "holm", "romano_wolf"]
+        rule = StepRule(methods, 0.05, np.zeros(1))
+        stats = np.broadcast_to(np.array([1.0, self.BELOW])[:, None, None], (2, 4, 1))
+        _, flags, _ = rule.update(np.ones((4, 1)), stats, None, 1.0, 1)
+        assert not flags.any()
+
+    def test_real_gap_is_not_a_tie(self):
+        below = 1.0 - 10 * TIE_TOL
+        row = np.array([1.0, below, 0.5])
+        assert exceedance_count(row) == 0
+        rule = StepRule(["none", "romano_wolf"], 0.05, np.zeros(1))
+        stats = np.broadcast_to(np.array([1.0, below])[:, None, None], (2, 2, 1))
+        _, flags, _ = rule.update(np.ones((2, 1)), stats, None, 1.0, 1)
+        assert flags.all()
+
+    def test_swapped_identical_clusters_tie(self):
+        # clusters 0 (treated) and 3 (control) hold the same rows, so
+        # their null tables are equal, and swapping them across arms
+        # gives the observed statistic in exact arithmetic; summed in
+        # another order it can round an ulp below |T_obs|
+        rng = np.random.default_rng(5)
+        sizes = rng.integers(3, 8, 6)
+        y = [rng.binomial(1, 0.4, n).astype(float) for n in sizes]
+        sizes[3], y[3] = sizes[0], y[0]
+        cluster_index = np.repeat(np.arange(6), sizes)
+        treated = np.array([1, 1, 1, 0, 0, 0])
+        ds = TrialDataset(
+            cluster_labels=[f"c{c}" for c in range(6)],
+            cluster_index=cluster_index,
+            period=np.ones(len(cluster_index), dtype=int),
+            treatment=treated[cluster_index],
+            outcomes=np.concatenate(y).reshape(-1, 1),
+            outcome_specs=(OutcomeSpec("y1", "binomial"),),
+        )
+        ds.design = validate_design(ds)
+        m = build_stat_matrix(ds, PermutationPlan(n_draws=0, seed=0))
+        assert m.exact
+        treated_sets = [a.treated for a in enumerate_allocations(ds.design)]
+        swapped = 1 + treated_sets.index((1, 2, 3))
+        complement = 1 + treated_sets.index((3, 4, 5))
+        gaps = np.abs(m.values[0, [swapped, complement]]) - abs(m.values[0, 0])
+        assert np.all(np.abs(gaps) < TIE_TOL)
+        row = m.values[0]
+        assert exceedance_count(row[[0, swapped, complement]]) == 2

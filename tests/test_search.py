@@ -3,31 +3,28 @@
 import numpy as np
 import pytest
 
-from crtperm.data import OutcomeSpec, TrialDataset, validate_design
 from crtperm.errors import NumericalError
 from crtperm.glm import (
     CovarianceSpec,
     build_cluster_covariance,
     irls_fit,
-    link_inverse,
-    mean_derivative,
     nuisance_design,
 )
 from crtperm.search import (
     StepRule,
-    _StepKernel,
     alpha_star_schedule,
     rm_search,
     step_constant,
 )
-from crtperm.statistics import (
-    NullResiduals,
-    SignedAllocation,
-    stats_from_cell_table,
-    weighted_cell_table,
-)
+from crtperm.statistics import SignedAllocation, StepKernel
 
-from conftest import grid_inversion_endpoints, make_gaussian_dataset
+from conftest import (
+    grid_inversion_endpoints,
+    make_gaussian_dataset,
+    make_mixed_dataset,
+    reference_stat,
+    reference_table,
+)
 
 
 def single_step_decision(method, observed_stats, permuted_stats, alpha):
@@ -326,54 +323,6 @@ class TestRmSearch:
         assert len(b.trace) == 2 * 300 * 2  # sides x steps x outcomes
 
 
-def _mixed_dataset(baseline, seed=0, n_clusters=8, covariate=None):
-    """Gaussian, Poisson and binary outcomes; unequal cells; shuffled rows.
-
-    ``baseline`` gives two periods with everyone untreated in the first,
-    otherwise one period; half the clusters are treated.  ``covariate``
-    adds one row-level covariate, "binary" (fewer row patterns than
-    rows) or "continuous" (one pattern per row).
-    """
-    rng = np.random.default_rng(seed)
-    C, T = n_clusters, 2 if baseline else 1
-    sizes = rng.integers(2, 7, size=(C, T))
-    treated = np.zeros(C, dtype=bool)
-    treated[rng.choice(C, size=C // 2, replace=False)] = True
-    cluster_index = np.repeat(np.arange(C), sizes.sum(axis=1))
-    period = np.concatenate([np.repeat(np.arange(1, T + 1), sizes[c]) for c in range(C)])
-    shuffle = rng.permutation(len(cluster_index))
-    cluster_index, period = cluster_index[shuffle], period[shuffle]
-    n = len(cluster_index)
-    D = (treated[cluster_index] & (period == T)).astype(int)
-    effect = rng.normal(0.0, 0.3, C)[cluster_index] + 0.2 * (period - 1)
-    x = None
-    if covariate is not None:
-        x = (rng.integers(0, 2, n).astype(float) if covariate == "binary"
-             else rng.normal(size=n))
-        effect = effect + 0.4 * x
-    y = np.column_stack([
-        1.0 + 0.4 * D + effect + rng.normal(size=n),
-        rng.poisson(np.exp(0.5 + 0.3 * D + effect)),
-        rng.binomial(1, 1.0 / (1.0 + np.exp(0.3 - 0.5 * D - effect))),
-    ])
-    ds = TrialDataset(
-        cluster_labels=[f"c{c}" for c in range(C)],
-        cluster_index=cluster_index,
-        period=period,
-        treatment=D,
-        outcomes=y,
-        outcome_specs=(
-            OutcomeSpec("y1", "gaussian"),
-            OutcomeSpec("y2", "poisson"),
-            OutcomeSpec("y3", "binomial"),
-        ),
-        covariates=None if x is None else x.reshape(-1, 1),
-        covariate_names=() if x is None else ("x1",),
-    )
-    ds.design = validate_design(ds)
-    return ds
-
-
 def _ar1_covariances(ds):
     return [
         build_cluster_covariance(
@@ -385,27 +334,24 @@ def _ar1_covariances(ds):
 
 
 def _reference_stats(ds, kind, covs, refit_at, limits, signs):
-    """Statistics from the library's one-table reference path, chain by chain."""
+    """Statistics written out in plain numpy, chain by chain.
+
+    Each chain refits its nuisance parameters at ``refit_at`` (least
+    squares for identity links, IRLS otherwise), then evaluates the
+    residual table at its limit with per-cluster ``np.linalg.solve``
+    and exactly rounded sums (``reference_table``, ``reference_stat``).
+    """
     X, _ = nuisance_design(ds)
     D = ds.treatment.astype(float)
     out = np.empty((len(signs),) + limits.shape)
     for (m, j), delta in np.ndenumerate(limits):
-        link = ds.outcome_specs[j].link
-        y = ds.outcomes[:, j]
-        if link == "identity":
+        if ds.outcome_specs[j].link == "identity":
+            y = ds.outcomes[:, j]
             beta = np.linalg.lstsq(X, y - refit_at[m, j] * D, rcond=None)[0]
         else:
             beta = irls_fit(ds, j, delta_fixed=float(refit_at[m, j])).nuisance_coefs
-        eta = X @ beta + delta * D
-        resid = NullResiduals(
-            values=y - link_inverse(eta, link), delta_star=float(delta),
-            outcome_index=j, dataset=ds,
-        )
-        if kind == "unweighted":
-            table = resid.cell_table()
-        else:
-            table = weighted_cell_table(resid, covs[j], 1.0 / mean_derivative(eta, link))
-        out[:, m, j] = stats_from_cell_table(table, signs)
+        table = reference_table(ds, j, beta, delta, covs[j] if kind == "weighted" else None)
+        out[:, m, j] = [reference_stat(table, s) for s in signs]
     return out
 
 
@@ -421,14 +367,14 @@ class TestStepKernel:
         shape = (n_chains, ds.n_outcomes)
         refit_at = theta + rng.uniform(-3.0, 3.0, shape) * se
         limits = refit_at + rng.uniform(-0.5, 0.5, shape) * se
-        kernel = _StepKernel(ds, kind, covs, n_chains)
+        kernel = StepKernel(ds, kind, covs, n_chains)
         return kernel, kernel.start(refit_at), refit_at, limits, covs
 
     @pytest.mark.parametrize("kind", ["unweighted", "weighted"])
     @pytest.mark.parametrize("baseline", [False, True], ids=["parallel", "baseline"])
     def test_matches_reference_statistic(self, kind, baseline):
         for seed in range(3):
-            ds = _mixed_dataset(baseline, seed=seed)
+            ds = make_mixed_dataset(baseline, seed=seed)
             kernel, state, refit_at, limits, covs = self._kernel(ds, kind, seed)
             rng = np.random.default_rng(seed)
             permuted = SignedAllocation.from_treated(
@@ -441,7 +387,7 @@ class TestStepKernel:
 
     @pytest.mark.parametrize("kind", ["unweighted", "weighted"])
     def test_structural_ties_are_exact(self, kind):
-        ds = _mixed_dataset(baseline=False, seed=5)
+        ds = make_mixed_dataset(baseline=False, seed=5)
         kernel, state, _, limits, _ = self._kernel(ds, kind, 5)
         observed = SignedAllocation.observed(ds)
         complement = SignedAllocation.from_treated(
@@ -460,7 +406,7 @@ class TestStepKernel:
         # (the complement negates the observed signs only without a baseline)
         for seed in range(3):
             baseline = seed == 1
-            ds = _mixed_dataset(baseline, seed=seed, covariate=covariate)
+            ds = make_mixed_dataset(baseline, seed=seed, covariate=covariate)
             P, C, T = len(ds.patterns.rep), ds.n_clusters, ds.n_periods
             assert C * T < P < ds.n_obs if covariate == "binary" else P == ds.n_obs
             kernel, state, refit_at, limits, covs = self._kernel(ds, kind, seed)

@@ -14,8 +14,8 @@ from crtperm.simulate import (
     draw_ar1_cluster_effects,
     gen_model1,
     gen_model2,
+    _mvn_batch,
     gen_model3,
-    mvn_sample,
     psd_factor,
     run_study,
 )
@@ -23,10 +23,13 @@ from crtperm.simulate import (
 
 class TestMvnSample:
     def test_zero_covariance_returns_mean_exactly(self):
+        # the eigenvalue fallback factors an all-zero covariance as zero
         rng = np.random.default_rng(0)
         mean = np.array([1.5, -2.0, 0.25])
-        out = mvn_sample(mean, np.zeros((3, 3)), rng)
-        assert np.array_equal(out, mean)
+        assert np.array_equal(psd_factor(np.zeros((3, 3))), np.zeros((3, 3)))
+        out = mean + _mvn_batch(np.zeros((3, 3)), 4, rng)
+        assert out.shape == (4, 3)
+        assert np.all(out == mean)
 
     def test_identity_covariance_moments(self):
         rng = np.random.default_rng(1)
@@ -47,7 +50,9 @@ class TestMvnSample:
         rng = np.random.default_rng(3)
         bad = np.array([[1.0, 2.0], [2.0, 1.0]])
         with pytest.raises(NumericalError, match="not PSD"):
-            mvn_sample(np.zeros(2), bad, rng)
+            psd_factor(bad)
+        with pytest.raises(NumericalError, match="not PSD"):
+            _mvn_batch(bad, 3, rng)
 
 
 class TestModel1:

@@ -1,24 +1,19 @@
-"""Studentized statistic oracles and invariance properties."""
+"""The statistic kernel: studentization oracles, weighted tables, null residuals."""
 
 import numpy as np
 import pytest
 
 from crtperm.data import OutcomeSpec, TrialDataset, validate_design
 from crtperm.errors import NumericalError
-from crtperm.glm import g_weights, irls_fit
-from crtperm.statistics import (
-    NullResiduals,
-    SignedAllocation,
-    residuals_under_null,
-    unweighted_stat,
-    weighted_stat,
-)
+from crtperm.glm import irls_fit, nuisance_design
+from crtperm.permutation import PermutationPlan, build_stat_matrix
+from crtperm.statistics import SignedAllocation, StepKernel, studentize
 
 from conftest import make_gaussian_dataset
 
 
 def _one_obs_per_cluster(values, treatments):
-    """Dataset with one observation per cluster carrying a chosen residual."""
+    """Dataset with one observation per cluster carrying a chosen value."""
     C = len(values)
     ds = TrialDataset(
         cluster_labels=[f"c{c}" for c in range(C)],
@@ -32,23 +27,23 @@ def _one_obs_per_cluster(values, treatments):
     return ds
 
 
-def _residuals(ds, values):
-    return NullResiduals(
-        values=np.asarray(values, dtype=float),
-        delta_star=0.0,
-        outcome_index=0,
-        dataset=ds,
-    )
+def _stat(table, signs) -> float:
+    """Statistic of one (C, T) table under one sign matrix."""
+    return float(studentize(np.asarray(table, dtype=float), np.asarray(signs)[None])[0])
+
+
+def _tables(ds, kind="unweighted", covariances=None, delta=0.0):
+    """The kernel's (J, C, T) tables with every outcome's effect held at ``delta``."""
+    kernel = StepKernel(ds, kind, covariances, 1)
+    at = np.full((1, ds.n_outcomes), delta)
+    return kernel.tables(at, kernel.start(at))[0]
 
 
 class TestUnweightedStat:
     def test_two_cluster_closed_form(self):
-        ds = _one_obs_per_cluster([2.0, 2.0], [1, 1])
         # both clusters treated is not a valid design for sampling, but
         # the statistic itself is well-defined for any sign vector
-        resid = _residuals(ds, [2.0, 2.0])
-        alloc = SignedAllocation(signs=np.array([[1], [1]], dtype=np.int8), treated=(0, 1))
-        t = unweighted_stat(resid, alloc)
+        t = _stat([[2.0], [2.0]], [[1], [1]])
         assert t == pytest.approx(4.0 / np.sqrt(8.0), abs=1e-12)
         assert t == pytest.approx(np.sqrt(2.0), abs=1e-12)
 
@@ -56,20 +51,13 @@ class TestUnweightedStat:
         rng = np.random.default_rng(0)
         vals = rng.normal(size=6)
         ds = _one_obs_per_cluster(vals, [0, 1, 0, 1, 0, 1])
-        resid = _residuals(ds, vals)
         alloc = SignedAllocation.from_treated(ds.design, (0, 2, 4))
-        flipped = SignedAllocation(signs=-alloc.signs, treated=(1, 3, 5))
-        assert unweighted_stat(resid, flipped) == pytest.approx(
-            -unweighted_stat(resid, alloc), abs=1e-15
-        )
+        table = vals.reshape(-1, 1)
+        assert _stat(table, -alloc.signs) == -_stat(table, alloc.signs)
 
     def test_four_cluster_arithmetic(self):
-        # cluster residual sums (1.0, -0.5, 2.0, 0.25), signs (+,-,+,-)
-        vals = [1.0, -0.5, 2.0, 0.25]
-        ds = _one_obs_per_cluster(vals, [1, 0, 1, 0])
-        resid = _residuals(ds, vals)
-        alloc = SignedAllocation.from_treated(ds.design, (0, 2))
-        t = unweighted_stat(resid, alloc)
+        # cluster contributions (1.0, -0.5, 2.0, 0.25), signs (+,-,+,-)
+        t = _stat([[1.0], [-0.5], [2.0], [0.25]], [[1], [-1], [1], [-1]])
         num = 1.0 + 0.5 + 2.0 - 0.25
         den = np.sqrt(1.0 + 0.25 + 4.0 + 0.0625)
         assert t == pytest.approx(num / den, abs=1e-12)
@@ -79,121 +67,105 @@ class TestUnweightedStat:
         rng = np.random.default_rng(4)
         for _ in range(50):
             C = int(rng.integers(2, 9))
-            vals = rng.normal(size=C)
-            ds = _one_obs_per_cluster(vals, rng.integers(0, 2, size=C))
-            treated = tuple(np.flatnonzero(rng.integers(0, 2, size=C)))
-            signs = -np.ones((C, 1), dtype=np.int8)
-            signs[list(treated)] = 1
-            t = unweighted_stat(_residuals(ds, vals), SignedAllocation(signs, treated))
+            T = int(rng.integers(1, 3))
+            signs = rng.choice([-1, 1], size=(C, T))
+            t = _stat(rng.normal(size=(C, T)), signs)
             assert abs(t) <= np.sqrt(C) + 1e-12
 
     def test_degenerate_residuals_raise(self):
+        # a constant outcome leaves every null residual at zero
+        assert np.isnan(_stat([[0.0], [0.0]], [[1], [-1]]))
         ds = _one_obs_per_cluster([0.0, 0.0], [0, 1])
-        resid = _residuals(ds, [0.0, 0.0])
-        alloc = SignedAllocation.from_treated(ds.design, (1,))
-        with pytest.raises(NumericalError, match="degenerate"):
-            unweighted_stat(resid, alloc)
+        with pytest.raises(NumericalError, match="outcome 0: degenerate.*column 0"):
+            build_stat_matrix(ds, PermutationPlan(n_draws=0, seed=0))
 
 
 class TestWeightedStat:
-    def _two_cluster_fixture(self):
+    def _two_cluster_fixture(self, family="gaussian"):
         rng = np.random.default_rng(1)
-        vals = rng.normal(size=4)
+        vals = rng.normal(size=4) if family == "gaussian" else rng.poisson(3.0, 4).astype(float)
         ds = TrialDataset(
             cluster_labels=["a", "b"],
             cluster_index=np.array([0, 0, 1, 1]),
             period=np.ones(4, dtype=int),
             treatment=np.array([1, 1, 0, 0]),
             outcomes=vals.reshape(-1, 1),
-            outcome_specs=(OutcomeSpec("y1", "gaussian"),),
+            outcome_specs=(OutcomeSpec("y1", family),),
         )
         ds.design = validate_design(ds)
         return ds, vals
 
     def test_matches_direct_linear_solve(self):
         ds, vals = self._two_cluster_fixture()
-        resid = _residuals(ds, vals)
         V = [np.array([[1.05, 0.05], [0.05, 1.05]]) for _ in range(2)]
-        G = np.ones(4)
         alloc = SignedAllocation.from_treated(ds.design, (0,))
-        t = weighted_stat(resid, alloc, V, G)
-        # oracle: solve each 2x2 system directly
+        t = _stat(_tables(ds, "weighted", [V])[0], alloc.signs)
+        # oracle: intercept-only null residuals, each 2x2 system solved directly
+        r = vals - vals.mean()
         w = []
         for c, idx in enumerate(ds.cluster_obs_indices):
-            z = np.linalg.solve(V[c], vals[idx])
+            z = np.linalg.solve(V[c], r[idx])
             sign = 1.0 if c == 0 else -1.0
             w.append(sign * z.sum())
         expected = sum(w) / np.sqrt(sum(x**2 for x in w))
         assert t == pytest.approx(expected, abs=1e-10)
 
     def test_reduces_to_unweighted_for_scalar_covariance(self):
-        ds, vals = self._two_cluster_fixture()
-        resid = _residuals(ds, vals)
+        ds, _ = self._two_cluster_fixture()
         V = [0.7 * np.eye(2) for _ in range(2)]
-        G = np.ones(4)
         alloc = SignedAllocation.from_treated(ds.design, (0,))
-        assert weighted_stat(resid, alloc, V, G) == pytest.approx(
-            unweighted_stat(resid, alloc), abs=1e-12
+        assert _stat(_tables(ds, "weighted", [V])[0], alloc.signs) == pytest.approx(
+            _stat(_tables(ds)[0], alloc.signs), abs=1e-12
         )
 
     def test_sign_flip_negates_exactly(self):
-        ds, vals = self._two_cluster_fixture()
-        resid = _residuals(ds, vals)
+        # a log link makes the weights G = exp(-eta) differ from one
+        ds, _ = self._two_cluster_fixture("poisson")
         V = [np.array([[1.2, 0.3], [0.3, 1.2]]) for _ in range(2)]
-        G = np.array([1.0, 2.0, 0.5, 1.5])
+        table = _tables(ds, "weighted", [V])[0]
         alloc = SignedAllocation.from_treated(ds.design, (0,))
-        flipped = SignedAllocation(signs=-alloc.signs, treated=(1,))
-        assert weighted_stat(resid, flipped, V, G) == pytest.approx(
-            -weighted_stat(resid, alloc, V, G), abs=1e-15
-        )
+        assert _stat(table, -alloc.signs) == -_stat(table, alloc.signs)
 
     def test_common_scale_invariance(self):
-        ds, vals = self._two_cluster_fixture()
-        resid = _residuals(ds, vals)
+        ds, _ = self._two_cluster_fixture("poisson")
         alloc = SignedAllocation.from_treated(ds.design, (0,))
         V = [np.array([[1.1, 0.2], [0.2, 1.1]]) for _ in range(2)]
-        G = np.array([1.0, 1.4, 0.8, 1.2])
-        base = weighted_stat(resid, alloc, V, G)
-        scaled = weighted_stat(resid, alloc, [3.7 * v for v in V], G)
+        base = _stat(_tables(ds, "weighted", [V])[0], alloc.signs)
+        scaled = _stat(_tables(ds, "weighted", [[3.7 * v for v in V]])[0], alloc.signs)
         assert scaled == pytest.approx(base, abs=1e-12)
 
     def test_singular_covariance_names_cluster(self):
-        ds, vals = self._two_cluster_fixture()
-        resid = _residuals(ds, vals)
+        ds, _ = self._two_cluster_fixture()
         V = [np.zeros((2, 2)), np.eye(2)]
         with pytest.raises(NumericalError, match="'a'"):
-            weighted_stat(resid, SignedAllocation.from_treated(ds.design, (0,)), V, np.ones(4))
+            StepKernel(ds, "weighted", [V], 1)
 
     def test_dimension_mismatch_rejected(self):
-        ds, vals = self._two_cluster_fixture()
-        resid = _residuals(ds, vals)
+        ds, _ = self._two_cluster_fixture()
         V = [np.eye(3), np.eye(2)]
-        with pytest.raises(ValueError, match="shape"):
-            weighted_stat(resid, SignedAllocation.from_treated(ds.design, (0,)), V, np.ones(4))
+        with pytest.raises(ValueError, match="cluster 'a' has shape"):
+            StepKernel(ds, "weighted", [V], 1)
 
 
 class TestResidualsUnderNull:
+    """The kernel's tables are cell totals of the residuals of a fit held at delta."""
+
     def test_perfect_fit_gives_zero_residuals(self):
+        # the identity-link closed form at the zero null
         ds = make_gaussian_dataset(n_clusters=4, n_per_cluster=3, noise_sd=1.0, seed=5)
         fit = irls_fit(ds, 0, delta_fixed=0.0)
-        # overwrite outcomes cannot happen (read-only); instead check the
-        # identity-link closed form directly
-        resid = residuals_under_null(fit, 0.0, ds, 0)
-        from crtperm.glm import nuisance_design
-
         X, _ = nuisance_design(ds)
-        expected = ds.outcomes[:, 0] - X @ fit.nuisance_coefs
-        assert np.allclose(resid.values, expected, atol=1e-12)
+        expected = ds.cell_totals(ds.outcomes[:, 0] - X @ fit.nuisance_coefs)
+        assert np.allclose(_tables(ds)[0], expected, atol=1e-12)
 
     def test_identity_link_closed_form_with_offset(self):
         ds = make_gaussian_dataset(n_clusters=4, n_per_cluster=3, covariate=True, seed=6)
         fit = irls_fit(ds, 0, delta_fixed=0.5)
-        resid = residuals_under_null(fit, 0.5, ds, 0)
-        from crtperm.glm import nuisance_design
-
         X, _ = nuisance_design(ds)
-        expected = ds.outcomes[:, 0] - X @ fit.nuisance_coefs - 0.5 * ds.treatment
-        assert np.allclose(resid.values, expected, atol=1e-10)
+        expected = ds.cell_totals(
+            ds.outcomes[:, 0] - X @ fit.nuisance_coefs - 0.5 * ds.treatment
+        )
+        assert np.allclose(_tables(ds, delta=0.5)[0], expected, atol=1e-10)
 
     def test_poisson_log_hand_table(self):
         y = np.array([1.0, 3.0, 2.0, 4.0, 0.0, 2.0])
@@ -206,45 +178,25 @@ class TestResidualsUnderNull:
             outcome_specs=(OutcomeSpec("y1", "poisson"),),
         )
         ds.design = validate_design(ds)
-        fit = irls_fit(ds, 0, delta_fixed=0.5)
-        resid = residuals_under_null(fit, 0.5, ds, 0)
-        mu0 = fit.intercept
+        mu0 = irls_fit(ds, 0, delta_fixed=0.5).intercept
         d = ds.treatment.astype(float)
-        expected = y - np.exp(mu0 + 0.5 * d)
-        assert np.allclose(resid.values, expected, atol=1e-10)
-
-    def test_mismatched_null_rejected(self):
-        ds = make_gaussian_dataset(seed=7)
-        fit = irls_fit(ds, 0, delta_fixed=0.0)
-        with pytest.raises(ValueError, match="constrained at"):
-            residuals_under_null(fit, 0.5, ds, 0)
-
-    def test_unconstrained_fit_rejected(self):
-        ds = make_gaussian_dataset(seed=8)
-        fit = irls_fit(ds, 0)
-        with pytest.raises(ValueError, match="constrained fit"):
-            residuals_under_null(fit, 0.0, ds, 0)
+        expected = ds.cell_totals(y - np.exp(mu0 + 0.5 * d))
+        assert np.allclose(_tables(ds, delta=0.5)[0], expected, atol=1e-10)
 
 
 class TestStudentizationProperties:
     def test_scaling_all_contributions_leaves_stat_unchanged(self):
         rng = np.random.default_rng(12)
-        vals = rng.normal(size=8)
-        ds = _one_obs_per_cluster(vals, [0, 1] * 4)
-        alloc = SignedAllocation.from_treated(ds.design, (1, 3, 5, 7))
-        base = unweighted_stat(_residuals(ds, vals), alloc)
-        scaled = unweighted_stat(_residuals(ds, 2.5 * vals), alloc)
-        assert scaled == pytest.approx(base, abs=1e-12)
+        table = rng.normal(size=(8, 1))
+        signs = np.array([[-1], [1]] * 4)
+        assert _stat(2.5 * table, signs) == pytest.approx(_stat(table, signs), abs=1e-12)
 
     def test_weighted_equals_unweighted_gaussian_identity_no_clustering(self):
         # gaussian identity with tau2 = 0: V proportional to identity and
         # G identically 1, so the two statistics coincide
         ds = make_gaussian_dataset(n_clusters=6, n_per_cluster=4, seed=13)
-        fit = irls_fit(ds, 0, delta_fixed=0.0)
-        resid = residuals_under_null(fit, 0.0, ds, 0)
         alloc = SignedAllocation.observed(ds)
         V = [0.9 * np.eye(4) for _ in range(6)]
-        G = g_weights(fit)
-        assert weighted_stat(resid, alloc, V, G) == pytest.approx(
-            unweighted_stat(resid, alloc), abs=1e-12
+        assert _stat(_tables(ds, "weighted", [V])[0], alloc.signs) == pytest.approx(
+            _stat(_tables(ds)[0], alloc.signs), abs=1e-12
         )

@@ -35,11 +35,10 @@ def _exchangeable_covariances(ds, sigma2, tau2):
 class TestWeightedMatrix:
     def test_scalar_covariance_reproduces_unweighted(self):
         ds = make_gaussian_dataset(n_outcomes=2, seed=41)
-        fits = [irls_fit(ds, j, delta_fixed=0.0) for j in range(2)]
         plan = PermutationPlan(n_draws=80, seed=4, enumerate_exact=False)
-        unweighted = build_stat_matrix(ds, fits, plan)
+        unweighted = build_stat_matrix(ds, plan)
         weighted = build_stat_matrix(
-            ds, fits, plan, kind="weighted", covariances=_scalar_covariances(ds)
+            ds, plan, kind="weighted", covariances=_scalar_covariances(ds)
         )
         assert np.allclose(weighted.values, unweighted.values, atol=1e-12)
 
@@ -49,11 +48,10 @@ class TestWeightedMatrix:
         # same scalar in every cluster, so studentization cancels it and
         # the weighted statistic reproduces the unweighted one exactly
         ds = make_gaussian_dataset(n_outcomes=1, cluster_sd=0.6, seed=43)
-        fit = irls_fit(ds, 0, delta_fixed=0.0)
         plan = PermutationPlan(n_draws=80, seed=4, enumerate_exact=False)
-        unweighted = build_stat_matrix(ds, [fit], plan)
+        unweighted = build_stat_matrix(ds, plan)
         weighted = build_stat_matrix(
-            ds, [fit], plan, kind="weighted",
+            ds, plan, kind="weighted",
             covariances=_exchangeable_covariances(ds, 1.0, 0.4),
         )
         assert np.allclose(weighted.values, unweighted.values, atol=1e-12)
@@ -78,22 +76,18 @@ class TestWeightedMatrix:
             outcome_specs=(OutcomeSpec("y1", "gaussian"),),
         )
         ds.design = validate_design(ds)
-        fit = irls_fit(ds, 0, delta_fixed=0.0)
         plan = PermutationPlan(n_draws=80, seed=4, enumerate_exact=False)
-        unweighted = build_stat_matrix(ds, [fit], plan)
+        unweighted = build_stat_matrix(ds, plan)
         weighted = build_stat_matrix(
-            ds, [fit], plan, kind="weighted",
+            ds, plan, kind="weighted",
             covariances=_exchangeable_covariances(ds, 1.0, 0.4),
         )
         assert not np.allclose(weighted.values, unweighted.values)
 
     def test_missing_covariances_rejected(self):
         ds = make_gaussian_dataset(seed=44)
-        fit = irls_fit(ds, 0, delta_fixed=0.0)
         with pytest.raises(ValueError, match="covariances"):
-            build_stat_matrix(
-                ds, [fit], PermutationPlan(n_draws=10, seed=0), kind="weighted"
-            )
+            build_stat_matrix(ds, PermutationPlan(n_draws=10, seed=0), kind="weighted")
 
 
 class TestWeightedSearch:
