@@ -99,7 +99,7 @@ def analyze(
             dataset, plan, kind=config.statistic, covariances=covariances
         )
         for m in perm_methods:
-            adjusted[m] = adjust(matrix, m, config.sided)
+            adjusted[m] = adjust(matrix, m)
     t_pvalues = time.perf_counter()
 
     trace_rows: list | None = [] if collect_trace else None

@@ -34,47 +34,44 @@ class AdjustedPValues:
     rejection_order: np.ndarray
 
 
-def _ordering(observed: np.ndarray, sided: str) -> np.ndarray:
-    key = np.abs(observed) if sided == "two_sided" else observed
-    return np.lexsort((np.arange(len(key)), -key))
+def _ordering(observed: np.ndarray) -> np.ndarray:
+    return np.lexsort((np.arange(len(observed)), -np.abs(observed)))
 
 
-def _unadjusted(matrix: StatMatrix, sided: str) -> np.ndarray:
-    return np.array(
-        [row_p_value(matrix, j, sided) for j in range(matrix.n_outcomes)]
-    )
+def _unadjusted(matrix: StatMatrix) -> np.ndarray:
+    return np.array([row_p_value(matrix, j) for j in range(matrix.n_outcomes)])
 
 
-def adjust_none(matrix: StatMatrix, sided: str = "two_sided") -> AdjustedPValues:
+def adjust_none(matrix: StatMatrix) -> AdjustedPValues:
     """No correction: adjusted p-values equal the unadjusted ones."""
-    p = _unadjusted(matrix, sided)
+    p = _unadjusted(matrix)
     return AdjustedPValues(
         method="none",
         p_unadjusted=p,
         p_adjusted=p.copy(),
-        rejection_order=_ordering(matrix.values[:, 0], sided),
+        rejection_order=_ordering(matrix.values[:, 0]),
     )
 
 
-def adjust_bonferroni(matrix: StatMatrix, sided: str = "two_sided") -> AdjustedPValues:
+def adjust_bonferroni(matrix: StatMatrix) -> AdjustedPValues:
     """Scale every p-value by the family size, capped at 1."""
-    p = _unadjusted(matrix, sided)
+    p = _unadjusted(matrix)
     return AdjustedPValues(
         method="bonferroni",
         p_unadjusted=p,
         p_adjusted=np.minimum(len(p) * p, 1.0),
-        rejection_order=_ordering(matrix.values[:, 0], sided),
+        rejection_order=_ordering(matrix.values[:, 0]),
     )
 
 
-def adjust_holm(matrix: StatMatrix, sided: str = "two_sided") -> AdjustedPValues:
+def adjust_holm(matrix: StatMatrix) -> AdjustedPValues:
     """Step-down multiplier adjustment with monotonicity enforcement.
 
     Sorted ascending, the r-th smallest p-value is multiplied by
     (J - r + 1); running maxima keep the adjusted values monotone in
     the ordering.
     """
-    p = _unadjusted(matrix, sided)
+    p = _unadjusted(matrix)
     J = len(p)
     order = np.argsort(p, kind="stable")
     adjusted = np.empty(J)
@@ -86,11 +83,11 @@ def adjust_holm(matrix: StatMatrix, sided: str = "two_sided") -> AdjustedPValues
         method="holm",
         p_unadjusted=p,
         p_adjusted=adjusted,
-        rejection_order=_ordering(matrix.values[:, 0], sided),
+        rejection_order=_ordering(matrix.values[:, 0]),
     )
 
 
-def adjust_romano_wolf(matrix: StatMatrix, sided: str = "two_sided") -> AdjustedPValues:
+def adjust_romano_wolf(matrix: StatMatrix) -> AdjustedPValues:
     """Stepdown adjustment based on max-statistics over the active set.
 
     Hypotheses are processed in decreasing order of the observed
@@ -103,18 +100,14 @@ def adjust_romano_wolf(matrix: StatMatrix, sided: str = "two_sided") -> Adjusted
     """
     if matrix.n_permutations < 1:
         raise ValueError("stepdown adjustment requires at least one permutation")
-    p = _unadjusted(matrix, sided)
-    obs = matrix.values[:, 0]
-    perm = matrix.values[:, 1:]
-    if sided == "two_sided":
-        obs_key, perm_key = np.abs(obs), np.abs(perm)
-    else:
-        obs_key, perm_key = obs, perm
+    p = _unadjusted(matrix)
+    obs_key = np.abs(matrix.values[:, 0])
+    perm_key = np.abs(matrix.values[:, 1:])
     if not (np.all(np.isfinite(obs_key)) and np.all(np.isfinite(perm_key))):
         raise NumericalError("non-finite statistic in permutation matrix")
-    order = _ordering(obs, sided)
+    order = _ordering(obs_key)
     add = 0 if matrix.exact else 1
-    ncol = perm.shape[1]
+    ncol = perm_key.shape[1]
     adjusted = np.empty(len(p))
     running = 0.0
     for r, j in enumerate(order):
@@ -138,11 +131,11 @@ _ADJUSTERS = {
 }
 
 
-def adjust(matrix: StatMatrix, method: str, sided: str = "two_sided") -> AdjustedPValues:
+def adjust(matrix: StatMatrix, method: str) -> AdjustedPValues:
     """Dispatch to the requested correction method."""
     try:
         fn = _ADJUSTERS[method]
     except KeyError:
         raise ValueError(f"unknown correction method: {method!r}") from None
-    return fn(matrix, sided)
+    return fn(matrix)
 

@@ -337,18 +337,16 @@ def _validate_treatment_consistency(ds: TrialDataset) -> None:
         raise DataValidationError(
             f"treatment must be 0 or 1; bad value at data row {row + 1}"
         )
-    key = ds.group_key
-    seen = np.full(ds.n_clusters * ds.n_periods, -1, dtype=np.int8)
-    for i in range(ds.n_obs):
-        k = key[i]
-        if seen[k] == -1:
-            seen[k] = ds.treatment[i]
-        elif seen[k] != ds.treatment[i]:
-            label = ds.cluster_labels[ds.cluster_index[i]]
-            raise DataValidationError(
-                "treatment varies within cluster-period "
-                f"(cluster {label!r}, period {int(ds.period[i])})"
-            )
+    # each row against the first row of its (cluster, period) cell
+    _, first, cell = np.unique(ds.group_key, return_index=True, return_inverse=True)
+    bad = np.flatnonzero(ds.treatment != ds.treatment[first][cell])
+    if bad.size:
+        i = bad[0]
+        label = ds.cluster_labels[ds.cluster_index[i]]
+        raise DataValidationError(
+            "treatment varies within cluster-period "
+            f"(cluster {label!r}, period {int(ds.period[i])})"
+        )
 
 
 def validate_design(dataset: TrialDataset) -> DesignInfo:

@@ -443,15 +443,6 @@ def cholesky_blocks(dataset: TrialDataset, V: np.ndarray, clusters: list[int]):
         ) from exc
 
 
-def g_weights(fitted: FittedMeanModel, link: str | None = None) -> np.ndarray:
-    """Reciprocal mean-derivative weights, one per observation.
-
-    identity -> 1; log -> exp(-eta); logit -> 1 / (mu (1 - mu)).
-    """
-    link = link or fitted.link
-    return 1.0 / mean_derivative(fitted.linear_predictor, link)
-
-
 def fgls_gaussian(
     dataset: TrialDataset, outcome_index: int
 ) -> tuple[float, float]:

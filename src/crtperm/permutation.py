@@ -1,11 +1,22 @@
-"""Allocation resampling, statistic matrices, and Monte Carlo p-values.
+"""Allocation resampling, statistic matrices, and permutation p-values.
 
-Re-allocations assign the treated-arm label to a uniformly chosen
-cluster subset of the original arm size, preserving the randomisation
-scheme (under parallel-with-baseline the first period stays untreated
-for everyone).  Each Monte Carlo draw gets its own RNG stream derived
-from (seed, draw index), so a statistic matrix is reproducible
-bit-for-bit regardless of how the work is scheduled.
+A re-allocation assigns the treated-arm label to a cluster subset of
+the original arm size.  This module is the only place where a treated
+subset becomes treatment signs: :func:`sign_block` maps a block of
+subsets to an int8 (K, C, T) block, -1 everywhere and +1 for treated
+clusters from the design's first treated period on (under
+parallel-with-baseline, period 1 stays -1 for everyone).  Its subsets
+come from three sources:
+
+- :func:`observed_subset`, the trial's own treated clusters;
+- :func:`enumerate_subsets`, every subset in lexicographic order;
+- :func:`sample_subsets`, n uniform subsets from one generator, the
+  draws of a Monte Carlo matrix and of each confidence-limit search
+  chain (:mod:`crtperm.search`).
+
+A sampled matrix draws from one stream per matrix, keyed by
+(``plan.seed``, ``MATRIX_STREAM``), so it is reproducible bit for bit
+however the work around it is scheduled.
 
 When the allocation space is small (at most ``ENUMERATION_LIMIT``
 subsets) the full space is enumerated instead of sampled and p-values
@@ -16,6 +27,7 @@ The matrix is the statistic kernel of :mod:`crtperm.statistics` at
 the null delta = 0, the kernel the confidence-limit search steps with.
 Exceedance counts use its tie rule, :func:`~crtperm.statistics.beats`:
 a permuted statistic within ``TIE_TOL`` below the observed one ties.
+Tests are two-sided: they compare absolute statistics.
 """
 
 from __future__ import annotations
@@ -28,9 +40,13 @@ import numpy as np
 
 from .data import TrialDataset, DesignInfo
 from .errors import NumericalError
-from .statistics import SignedAllocation, StepKernel, beats, studentize
+from .statistics import StepKernel, beats, studentize
 
 ENUMERATION_LIMIT = 20_000
+
+#: stream key of a sampled matrix under its seed; the search's upper and
+#: lower chains draw from streams 0 and 1 of theirs
+MATRIX_STREAM = 2
 
 
 @dataclass(frozen=True)
@@ -38,7 +54,7 @@ class PermutationPlan:
     """How to sample the allocation space.
 
     ``enumerate_exact = None`` enumerates exhaustively whenever the
-    number of distinct allocations is at most ``enumeration_limit``;
+    number of distinct allocations is at most ``ENUMERATION_LIMIT``;
     True / False force the choice.  ``n_draws`` is the Monte Carlo
     sample size used when not enumerating.
     """
@@ -46,7 +62,6 @@ class PermutationPlan:
     n_draws: int
     seed: int
     enumerate_exact: bool | None = None
-    enumeration_limit: int = ENUMERATION_LIMIT
 
     def __post_init__(self):
         if self.n_draws < 0:
@@ -55,7 +70,7 @@ class PermutationPlan:
     def use_enumeration(self, design: DesignInfo) -> bool:
         if self.enumerate_exact is not None:
             return self.enumerate_exact
-        return n_allocations(design) <= self.enumeration_limit
+        return n_allocations(design) <= ENUMERATION_LIMIT
 
 
 @dataclass
@@ -71,9 +86,7 @@ class StatMatrix:
     """
 
     values: np.ndarray
-    statistic_kind: str
     exact: bool
-    seed: int
 
     @property
     def n_outcomes(self) -> int:
@@ -89,33 +102,42 @@ def n_allocations(design: DesignInfo) -> int:
     return comb(design.n_clusters, design.arm_sizes[1])
 
 
-def draw_rng(seed: int, draw_index: int) -> np.random.Generator:
-    """Independent, scheduling-order-free stream for one draw."""
-    return np.random.default_rng((int(seed), int(draw_index)))
+def sign_block(design: DesignInfo, subsets: np.ndarray) -> np.ndarray:
+    """Treatment signs of K treated subsets, int8 shape (K, C, T).
+
+    ``subsets`` holds K rows of treated cluster indices.  Every cell is
+    -1 except those of a row's clusters from the design's first treated
+    period on, which are +1.
+    """
+    subsets = np.asarray(subsets, dtype=np.intp)
+    signs = np.full((len(subsets), design.n_clusters, design.n_periods), -1, dtype=np.int8)
+    rows = np.arange(len(subsets))[:, None]
+    signs[rows, subsets, design.treatment_start_period - 1:] = 1
+    return signs
 
 
-def sample_allocation(
-    design: DesignInfo, rng_stream: np.random.Generator
-) -> SignedAllocation:
-    """Uniformly re-assign the treated arm to a random cluster subset."""
-    k = design.arm_sizes[1]
-    C = design.n_clusters
+def observed_subset(dataset: TrialDataset) -> np.ndarray:
+    """The trial's treated clusters, in increasing order."""
+    return np.flatnonzero(dataset.treatment_matrix.any(axis=1))
+
+
+def enumerate_subsets(design: DesignInfo) -> np.ndarray:
+    """Every treated subset, in lexicographic order, shape (n_allocations, k)."""
+    subsets = combinations(range(design.n_clusters), design.arm_sizes[1])
+    return np.array(list(subsets), dtype=np.intp)
+
+
+def sample_subsets(design: DesignInfo, rng: np.random.Generator, n: int) -> np.ndarray:
+    """n uniform treated subsets, shape (n, k): ``rng.permutation(C)[:k]`` each."""
+    k, C = design.arm_sizes[1], design.n_clusters
     if k == 0 or k == C:
         raise NumericalError(
-            "cannot permute a design with an empty arm "
-            f"(arm sizes {design.arm_sizes})"
+            f"cannot permute a design with an empty arm (arm sizes {design.arm_sizes})"
         )
-    treated = rng_stream.choice(C, size=k, replace=False)
-    return SignedAllocation.from_treated(design, np.sort(treated))
-
-
-def enumerate_allocations(design: DesignInfo) -> list[SignedAllocation]:
-    """All distinct allocations, in lexicographic order of treated subsets."""
-    k = design.arm_sizes[1]
-    return [
-        SignedAllocation.from_treated(design, subset)
-        for subset in combinations(range(design.n_clusters), k)
-    ]
+    subsets = np.empty((n, k), dtype=np.intp)
+    for i in range(n):
+        subsets[i] = rng.permutation(C)[:k]
+    return subsets
 
 
 def build_stat_matrix(
@@ -140,21 +162,13 @@ def build_stat_matrix(
     tables = kernel.tables(null, kernel.start(null))[0]
 
     design = dataset.design
-    observed = SignedAllocation.observed(dataset)
     exact = plan.use_enumeration(design)
     if exact:
-        allocations = enumerate_allocations(design)
+        subsets = enumerate_subsets(design)
     else:
-        allocations = [
-            sample_allocation(design, draw_rng(plan.seed, m))
-            for m in range(plan.n_draws)
-        ]
-    signs = np.empty(
-        (1 + len(allocations), design.n_clusters, design.n_periods), dtype=np.int8
-    )
-    signs[0] = observed.signs
-    for m, alloc in enumerate(allocations, start=1):
-        signs[m] = alloc.signs
+        rng = np.random.default_rng((int(plan.seed), MATRIX_STREAM))
+        subsets = sample_subsets(design, rng, plan.n_draws)
+    signs = sign_block(design, np.vstack([observed_subset(dataset), subsets]))
 
     values = np.empty((dataset.n_outcomes, signs.shape[0]))
     for j, table in enumerate(tables):
@@ -165,7 +179,7 @@ def build_stat_matrix(
                 f"outcome {j}: degenerate statistic: cluster contributions are "
                 f"all zero or not finite (allocation column {int(bad[0])})"
             )
-    return StatMatrix(values=values, statistic_kind=kind, exact=exact, seed=plan.seed)
+    return StatMatrix(values=values, exact=exact)
 
 
 def _check_row(row: np.ndarray) -> np.ndarray:
@@ -175,17 +189,13 @@ def _check_row(row: np.ndarray) -> np.ndarray:
     return row
 
 
-def exceedance_count(row: np.ndarray, sided: str = "two_sided") -> int:
-    """Number of permuted statistics at least as extreme as the observed, ties included."""
+def exceedance_count(row: np.ndarray) -> int:
+    """Number of permuted |statistics| at least as large as the observed, ties included."""
     row = _check_row(row)
-    if sided == "two_sided":
-        return int(np.sum(~beats(np.abs(row[0]), np.abs(row[1:]))))
-    if sided == "one_sided":
-        return int(np.sum(~beats(row[0], row[1:])))
-    raise ValueError(f"unknown sidedness: {sided!r}")
+    return int(np.sum(~beats(np.abs(row[0]), np.abs(row[1:]))))
 
 
-def mc_p_value(row: np.ndarray, sided: str = "two_sided") -> float:
+def mc_p_value(row: np.ndarray) -> float:
     """Add-one Monte Carlo p-value for one observed-plus-permuted row.
 
     p = (1 + #{m : extreme}) / (M + 1), which is a valid p-value (never
@@ -195,10 +205,10 @@ def mc_p_value(row: np.ndarray, sided: str = "two_sided") -> float:
     M = len(row) - 1
     if M < 1:
         raise ValueError("mc_p_value requires at least one permutation")
-    return (1 + exceedance_count(row, sided)) / (M + 1)
+    return (1 + exceedance_count(row)) / (M + 1)
 
 
-def exact_p_value(row: np.ndarray, sided: str = "two_sided") -> float:
+def exact_p_value(row: np.ndarray) -> float:
     """Exact permutation p-value over an exhaustively enumerated row.
 
     The enumeration includes the observed allocation itself, so the
@@ -208,10 +218,10 @@ def exact_p_value(row: np.ndarray, sided: str = "two_sided") -> float:
     row = _check_row(row)
     if len(row) < 2:
         raise ValueError("exact_p_value requires an enumerated allocation set")
-    return exceedance_count(row, sided) / (len(row) - 1)
+    return exceedance_count(row) / (len(row) - 1)
 
 
-def row_p_value(matrix: StatMatrix, j: int, sided: str = "two_sided") -> float:
+def row_p_value(matrix: StatMatrix, j: int) -> float:
     """Unadjusted p-value for outcome j, exact or add-one per the matrix."""
     row = matrix.values[j]
-    return exact_p_value(row, sided) if matrix.exact else mc_p_value(row, sided)
+    return exact_p_value(row) if matrix.exact else mc_p_value(row)

@@ -14,8 +14,11 @@ proportional to the current distance between the limit and the point
 estimate.
 
 Upper and lower limits run as two independent chains of Q steps each.
-Their permutation draws depend only on (seed, side, step), never on
-the method, so all methods are searched together on identical draws.
+Each chain draws its Q allocations up front from its own stream,
+keyed by (seed, side), with :func:`~crtperm.permutation.sample_subsets`
+and signs them once with :func:`~crtperm.permutation.sign_block`; a
+step only indexes into that block.  The draws never depend on the
+method, so all methods are searched together on identical draws.
 
 One step evaluates every (method, outcome) chain at once with the
 statistic kernel of :mod:`crtperm.statistics` (the kernel the
@@ -41,8 +44,8 @@ import numpy as np
 from scipy.stats import norm
 
 from .data import TrialDataset
-from .errors import NumericalError
 from .glm import FittedMeanModel, irls_fit
+from .permutation import observed_subset, sample_subsets, sign_block
 from .statistics import StepKernel, beats
 
 #: relative tolerance of the nuisance-refresh rule: refit when the
@@ -222,32 +225,26 @@ def _search_limits(
     # guard against degenerate fits: the step scale must stay positive
     ses = np.maximum(ses, 1e-9 * np.maximum(1.0, np.abs(theta)))
 
-    C = design.n_clusters
-    k_treated = design.arm_sizes[1]
-    if k_treated in (0, C):
-        raise NumericalError(
-            f"cannot permute a design with an empty arm (arm sizes {design.arm_sizes})"
-        )
     rule = StepRule(methods, alpha, theta)
     tol = REFIT_FRACTION * ses
-    start = design.treatment_start_period - 1
-    signs = -np.ones((2, C, design.n_periods))
-    signs[0, dataset.treatment_matrix.any(axis=1), start:] = 1.0
+    observed = observed_subset(dataset)
 
     traces: list[list] | None = [[] for _ in methods] if trace else None
     final = {}
     for side, stream in (("upper", 0), ("lower", 1)):
         sgn = 1.0 if side == "upper" else -1.0
-        rng = np.random.default_rng((int(seed), stream))
+        drawn = sample_subsets(design, np.random.default_rng((int(seed), stream)), Q)
+        # pairs[q - 1] holds step q's observed and drawn signs, as floats
+        # because a step multiplies them into float tables
+        subsets = np.stack([np.broadcast_to(observed, drawn.shape), drawn], axis=1)
+        pairs = sign_block(design, subsets.reshape(2 * Q, -1)).astype(float)
+        pairs = pairs.reshape((Q, 2) + kernel.cells)
         limits = np.tile(theta + sgn * 2.0 * ses, (M, 1))
         state = kernel.start(limits)
         warned = False
         for q in range(1, Q + 1):
-            treated_perm = rng.permutation(C)[:k_treated]
             ok = kernel.refresh(state, limits, tol)
-            signs[1] = -1.0
-            signs[1, treated_perm, start:] = 1.0
-            stats = kernel.evaluate(limits, state, signs)
+            stats = kernel.evaluate(limits, state, pairs[q - 1])
             good = np.isfinite(stats).all(axis=0)
             if ok is not None:
                 good &= ok

@@ -15,10 +15,14 @@ allocation: only the signs change from one permutation to the next.
 
 :class:`StepKernel` builds the tables of every (method, outcome) chain
 at its candidate delta and :func:`studentize` signs and reduces them.
-The permutation matrix is the kernel at delta = 0 under every
-allocation (:func:`crtperm.permutation.build_stat_matrix`), and the
+This module never builds signs: an allocation reaches it as an int8
+(C, T) sign array made by :func:`crtperm.permutation.sign_block`, the
+one routine that turns treated subsets into signs.  The permutation
+matrix is the kernel at delta = 0 under every allocation
+(:func:`crtperm.permutation.build_stat_matrix`), and the
 confidence-limit search (:mod:`crtperm.search`) calls it at each step's
-candidate limits.  The tables come from two sources:
+candidate limits under the observed and that step's drawn allocation.
+The tables come from two sources:
 
 - identity links are affine in delta: after a nuisance fit at
   delta_r the table is ``R0 + delta_r * HD - delta * Dtab``, the cell
@@ -58,7 +62,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import cho_solve
 
-from .data import TrialDataset, DesignInfo
+from .data import TrialDataset
 from .errors import NumericalError
 from .glm import (
     cholesky_blocks,
@@ -78,39 +82,6 @@ TIE_TOL = 1e-10
 def beats(observed, permuted):
     """True where ``observed`` exceeds ``permuted`` by more than the tie tolerance."""
     return permuted < observed - TIE_TOL
-
-
-@dataclass(frozen=True)
-class SignedAllocation:
-    """Treatment signs per (cluster, period): +1 treated, -1 untreated."""
-
-    signs: np.ndarray
-    treated: tuple[int, ...]
-
-    @classmethod
-    def from_treated(
-        cls, design: DesignInfo, treated: np.ndarray | tuple[int, ...]
-    ) -> "SignedAllocation":
-        """Build the sign pattern for a given treated-cluster subset.
-
-        Under the parallel scheme treated clusters carry +1 in every
-        period; under parallel-with-baseline every cluster is -1 in
-        period 1 and the treated subset is +1 from period 2 on.
-        """
-        treated = tuple(int(c) for c in treated)
-        signs = -np.ones((design.n_clusters, design.n_periods), dtype=np.int8)
-        start = design.treatment_start_period - 1
-        signs[list(treated), start:] = 1
-        signs.flags.writeable = False
-        return cls(signs=signs, treated=treated)
-
-    @classmethod
-    def observed(cls, dataset: TrialDataset) -> "SignedAllocation":
-        d = dataset.treatment_matrix
-        treated = tuple(int(c) for c in np.flatnonzero(d.any(axis=1)))
-        signs = (2 * d - 1).astype(np.int8)
-        # cells with no observations contribute nothing; their sign is moot
-        return cls(signs=signs, treated=treated)
 
 
 def studentize(tables: np.ndarray, signs: np.ndarray) -> np.ndarray:

@@ -27,22 +27,12 @@ def _matrix_from_counts(counts, M, exact=False):
     for j, cnt in enumerate(counts):
         values[j, 1 : 1 + cnt] = 2.0
         values[j, 1 + cnt :] = 0.1
-    return StatMatrix(
-        values=values,
-        statistic_kind="unweighted",
-        exact=exact,
-        seed=0,
-    )
+    return StatMatrix(values=values, exact=exact)
 
 
 def _matrix(obs, perms, exact=False):
     values = np.column_stack([np.asarray(obs, dtype=float), np.asarray(perms, dtype=float)])
-    return StatMatrix(
-        values=values,
-        statistic_kind="unweighted",
-        exact=exact,
-        seed=0,
-    )
+    return StatMatrix(values=values, exact=exact)
 
 
 class TestBonferroni:

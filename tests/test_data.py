@@ -55,6 +55,21 @@ class TestLoadDataset:
         with pytest.raises(DataValidationError, match="treatment varies within cluster-period"):
             load_dataset(path, cfg)
 
+    def test_treatment_conflict_names_first_offending_row(self, tmp_path):
+        # cell (A, 1) comes first in the file and in cell order, but its
+        # conflicting row (row 5) comes after the one of cell (B, 2) (row 4)
+        path = _write(
+            tmp_path,
+            "cluster,period,treatment,y1\n"
+            "A,1,0,1.0\nB,2,1,2.0\nB,1,0,3.0\nB,2,0,4.0\nA,1,1,5.0\nA,2,0,6.0\n",
+        )
+        cfg = _config(tmp_path, [OutcomeSpec("y1", "gaussian")], time_col="period")
+        with pytest.raises(DataValidationError) as err:
+            load_dataset(path, cfg)
+        assert str(err.value) == (
+            "treatment varies within cluster-period (cluster 'B', period 2)"
+        )
+
     def test_binomial_value_out_of_domain_names_row_and_column(self, tmp_path):
         path = _write(
             tmp_path,

@@ -10,7 +10,6 @@ from crtperm.glm import (
     build_cluster_covariance,
     estimate_variance_components,
     fgls_gaussian,
-    g_weights,
     irls_fit,
     nuisance_design,
 )
@@ -368,30 +367,6 @@ class TestClusterCovariance:
     def test_non_positive_sigma2_rejected(self):
         with pytest.raises(ValueError, match="sigma2"):
             CovarianceSpec("exchangeable", sigma2=0.0)
-
-
-class TestGWeights:
-    def test_identity_link(self, gaussian_dataset):
-        fit = irls_fit(gaussian_dataset, 0)
-        assert np.allclose(g_weights(fit), 1.0)
-
-    def test_log_link_at_zero(self):
-        ds = _dataset_from_arrays(
-            y=[1, 1, 1, 1], cluster=["A", "A", "B", "B"], treatment=[0, 0, 1, 1],
-            family="poisson",
-        )
-        fit = irls_fit(ds, 0, delta_fixed=0.0)
-        fit.linear_predictor = np.zeros(4)
-        assert np.allclose(g_weights(fit), 1.0)
-
-    def test_logit_link_at_zero_is_four(self):
-        ds = _dataset_from_arrays(
-            y=[0, 1, 0, 1], cluster=["A", "A", "B", "B"], treatment=[0, 0, 1, 1],
-            family="binomial",
-        )
-        fit = irls_fit(ds, 0, delta_fixed=0.0)
-        fit.linear_predictor = np.zeros(4)
-        assert np.allclose(g_weights(fit), 4.0)
 
 
 class TestFgls:

@@ -1,5 +1,7 @@
 """Allocation sampling, statistic matrices, and Monte Carlo p-values."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,19 +11,21 @@ from crtperm.data import OutcomeSpec, TrialDataset, validate_design
 from crtperm.errors import NumericalError
 from crtperm.glm import irls_fit
 from crtperm.permutation import (
+    MATRIX_STREAM,
     PermutationPlan,
     StatMatrix,
     build_stat_matrix,
-    draw_rng,
-    enumerate_allocations,
+    enumerate_subsets,
     exact_p_value,
     exceedance_count,
     mc_p_value,
     n_allocations,
-    sample_allocation,
+    observed_subset,
+    sample_subsets,
+    sign_block,
 )
 from crtperm.search import StepRule
-from crtperm.statistics import TIE_TOL, SignedAllocation
+from crtperm.statistics import TIE_TOL
 
 from conftest import (
     make_baseline_dataset,
@@ -32,48 +36,88 @@ from conftest import (
 )
 
 
+def _parallel_signs(n_clusters, treated):
+    """(C, 1) signs of a single-period design, written out by hand."""
+    return np.where(np.isin(np.arange(n_clusters), treated), 1, -1)[:, None]
+
+
+class TestSignBlock:
+    def test_parallel_design_by_hand(self):
+        ds = make_gaussian_dataset(n_clusters=4, n_per_cluster=2, n_treated=2)
+        signs = sign_block(ds.design, [[0, 3], [1, 2]])
+        assert signs.dtype == np.int8
+        assert np.array_equal(signs, np.array([
+            [[1], [-1], [-1], [1]],
+            [[-1], [1], [1], [-1]],
+        ]))
+
+    def test_baseline_design_by_hand(self):
+        ds = make_baseline_dataset(n_clusters=4)
+        signs = sign_block(ds.design, [[0, 3], [2, 1]])
+        assert np.array_equal(signs, np.array([
+            [[-1, 1], [-1, -1], [-1, -1], [-1, 1]],
+            [[-1, -1], [-1, 1], [-1, 1], [-1, -1]],
+        ]))
+
+    def test_observed_subset_reproduces_treatment(self):
+        for ds in (make_gaussian_dataset(n_clusters=6, n_treated=3, seed=2),
+                   make_baseline_dataset(n_clusters=6)):
+            signs = sign_block(ds.design, observed_subset(ds)[None])[0]
+            assert np.array_equal(signs, 2 * ds.treatment_matrix - 1)
+
+    def test_empty_arm_cannot_be_sampled(self):
+        ds = make_gaussian_dataset(n_clusters=4, n_per_cluster=2, n_treated=2)
+        design = replace(ds.design, arm_sizes=(4, 0))
+        with pytest.raises(NumericalError, match="empty arm"):
+            sample_subsets(design, np.random.default_rng(0), 5)
+
+
 class TestSampleAllocation:
     def test_preserves_treated_count(self):
         ds = make_gaussian_dataset(n_clusters=14, n_per_cluster=2, n_treated=7)
-        for m in range(25):
-            alloc = sample_allocation(ds.design, draw_rng(123, m))
-            assert len(alloc.treated) == 7
-            assert np.sum(alloc.signs == 1) == 7 * ds.design.n_periods
+        subsets = sample_subsets(ds.design, np.random.default_rng(123), 25)
+        assert subsets.shape == (25, 7)
+        assert all(len(set(s)) == 7 for s in subsets.tolist())
+        signs = sign_block(ds.design, subsets)
+        assert np.all(np.sum(signs == 1, axis=(1, 2)) == 7 * ds.design.n_periods)
 
     def test_exhaustive_enumeration_counts(self):
         ds = make_gaussian_dataset(n_clusters=4, n_per_cluster=2, n_treated=2)
-        allocs = enumerate_allocations(ds.design)
-        assert len(allocs) == 6
+        subsets = enumerate_subsets(ds.design)
+        assert subsets.shape == (6, 2)
         assert n_allocations(ds.design) == 6
-        assert len({a.treated for a in allocs}) == 6
+        assert len({tuple(s) for s in subsets.tolist()}) == 6
 
     def test_observed_allocation_in_enumeration(self):
         ds = make_gaussian_dataset(n_clusters=4, n_per_cluster=2, n_treated=2)
-        observed = SignedAllocation.observed(ds)
-        assert observed.treated in {a.treated for a in enumerate_allocations(ds.design)}
+        observed = tuple(observed_subset(ds).tolist())
+        assert observed in {tuple(s) for s in enumerate_subsets(ds.design).tolist()}
+
+    def test_enumeration_is_lexicographic(self):
+        ds = make_gaussian_dataset(n_clusters=5, n_per_cluster=2, n_treated=2)
+        subsets = [tuple(s) for s in enumerate_subsets(ds.design).tolist()]
+        assert subsets == sorted(subsets)
+        assert subsets[0] == (0, 1) and subsets[-1] == (3, 4)
 
     def test_same_seed_and_index_reproduces(self):
         ds = make_gaussian_dataset(n_clusters=10, n_per_cluster=2, n_treated=5)
-        a = sample_allocation(ds.design, draw_rng(99, 3))
-        b = sample_allocation(ds.design, draw_rng(99, 3))
-        assert a.treated == b.treated
+        a = sample_subsets(ds.design, np.random.default_rng(99), 40)
+        b = sample_subsets(ds.design, np.random.default_rng(99), 40)
+        assert np.array_equal(sign_block(ds.design, a), sign_block(ds.design, b))
 
     def test_uniform_over_subsets(self):
         ds = make_gaussian_dataset(n_clusters=4, n_per_cluster=2, n_treated=2)
-        counts = {}
         n_draws = 60_000
-        for m in range(n_draws):
-            t = sample_allocation(ds.design, draw_rng(7, m)).treated
-            counts[t] = counts.get(t, 0) + 1
+        subsets = sample_subsets(ds.design, np.random.default_rng(7), n_draws)
+        _, counts = np.unique(np.sort(subsets, axis=1), axis=0, return_counts=True)
         assert len(counts) == 6
-        for t, c in counts.items():
-            assert abs(c / n_draws - 1 / 6) < 0.01
+        assert np.all(np.abs(counts / n_draws - 1 / 6) < 0.01)
 
     def test_baseline_scheme_keeps_first_period_untreated(self):
         ds = make_baseline_dataset(n_clusters=6)
-        alloc = sample_allocation(ds.design, draw_rng(5, 0))
-        assert np.all(alloc.signs[:, 0] == -1)
-        assert np.sum(alloc.signs[:, 1] == 1) == 3
+        signs = sign_block(ds.design, sample_subsets(ds.design, np.random.default_rng(5), 20))
+        assert np.all(signs[:, :, 0] == -1)
+        assert np.all(np.sum(signs[:, :, 1] == 1, axis=1) == 3)
 
 
 class TestBuildStatMatrix:
@@ -105,9 +149,21 @@ class TestBuildStatMatrix:
         assert m.values.shape == (1, 7)  # observed + C(4,2) columns
         beta = irls_fit(ds, 0, delta_fixed=0.0).nuisance_coefs
         table = reference_table(ds, 0, beta, 0.0)
-        for col, alloc in enumerate(enumerate_allocations(ds.design), start=1):
+        for col, subset in enumerate(enumerate_subsets(ds.design).tolist(), start=1):
             assert m.values[0, col] == pytest.approx(
-                reference_stat(table, alloc.signs), abs=1e-12
+                reference_stat(table, _parallel_signs(4, subset)), abs=1e-12
+            )
+
+    def test_sampled_columns_come_from_one_stream(self):
+        ds = make_gaussian_dataset(n_clusters=8, n_per_cluster=3, n_treated=4, seed=2)
+        m = build_stat_matrix(ds, PermutationPlan(n_draws=30, seed=11, enumerate_exact=False))
+        rng = np.random.default_rng((11, MATRIX_STREAM))
+        subsets = [rng.permutation(8)[:4] for _ in range(30)]
+        beta = irls_fit(ds, 0, delta_fixed=0.0).nuisance_coefs
+        table = reference_table(ds, 0, beta, 0.0)
+        for col, subset in enumerate(subsets, start=1):
+            assert m.values[0, col] == pytest.approx(
+                reference_stat(table, _parallel_signs(8, subset)), abs=1e-12
             )
 
     def test_bitwise_determinism(self):
@@ -143,12 +199,7 @@ class TestMcPValue:
 
     def test_hand_count(self):
         row = np.array([2.0, 1.0, -2.5, 0.3, 2.0])
-        assert mc_p_value(row, "two_sided") == pytest.approx(3 / 5)
-
-    def test_one_sided(self):
-        row = np.array([2.0, 1.0, -2.5, 0.3, 2.0])
-        # only the tied 2.0 is >= the observed in the signed ordering
-        assert mc_p_value(row, "one_sided") == pytest.approx(2 / 5)
+        assert mc_p_value(row) == pytest.approx(3 / 5)
 
     def test_bounds(self):
         rng = np.random.default_rng(0)
@@ -192,9 +243,8 @@ class TestTieRule:
         assert 1.0 - self.BELOW < TIE_TOL
         row = np.array([1.0, -self.BELOW, 0.5, 0.25])
         assert exceedance_count(row) == 1
-        assert exceedance_count(np.array([1.0, self.BELOW, 0.5]), "one_sided") == 1
         assert mc_p_value(row) == pytest.approx(2 / 4)
-        matrix = StatMatrix(values=row[None], statistic_kind="unweighted", exact=False, seed=0)
+        matrix = StatMatrix(values=row[None], exact=False)
         assert adjust_romano_wolf(matrix).p_adjusted[0] == pytest.approx(2 / 4)
         # the search treats the same gap as a non-rejection, in every rule
         methods = ["none", "bonferroni", "holm", "romano_wolf"]
@@ -234,7 +284,7 @@ class TestTieRule:
         ds.design = validate_design(ds)
         m = build_stat_matrix(ds, PermutationPlan(n_draws=0, seed=0))
         assert m.exact
-        treated_sets = [a.treated for a in enumerate_allocations(ds.design)]
+        treated_sets = [tuple(s) for s in enumerate_subsets(ds.design).tolist()]
         swapped = 1 + treated_sets.index((1, 2, 3))
         complement = 1 + treated_sets.index((3, 4, 5))
         gaps = np.abs(m.values[0, [swapped, complement]]) - abs(m.values[0, 0])

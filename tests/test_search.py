@@ -16,7 +16,8 @@ from crtperm.search import (
     rm_search,
     step_constant,
 )
-from crtperm.statistics import SignedAllocation, StepKernel
+from crtperm.permutation import observed_subset, sign_block
+from crtperm.statistics import StepKernel
 
 from conftest import (
     grid_inversion_endpoints,
@@ -377,10 +378,8 @@ class TestStepKernel:
             ds = make_mixed_dataset(baseline, seed=seed)
             kernel, state, refit_at, limits, covs = self._kernel(ds, kind, seed)
             rng = np.random.default_rng(seed)
-            permuted = SignedAllocation.from_treated(
-                ds.design, np.sort(rng.choice(8, size=4, replace=False))
-            )
-            signs = np.stack([SignedAllocation.observed(ds).signs, permuted.signs])
+            permuted = rng.choice(8, size=4, replace=False)
+            signs = sign_block(ds.design, [observed_subset(ds), permuted])
             got = kernel.evaluate(limits, state, signs.astype(float))
             want = _reference_stats(ds, kind, covs, refit_at, limits, signs)
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
@@ -389,12 +388,12 @@ class TestStepKernel:
     def test_structural_ties_are_exact(self, kind):
         ds = make_mixed_dataset(baseline=False, seed=5)
         kernel, state, _, limits, _ = self._kernel(ds, kind, 5)
-        observed = SignedAllocation.observed(ds)
-        complement = SignedAllocation.from_treated(
-            ds.design, [c for c in range(8) if c not in observed.treated]
+        observed = observed_subset(ds)
+        observed_signs, complement = sign_block(
+            ds.design, [observed, np.setdiff1d(np.arange(8), observed)]
         )
-        for other in (observed, complement):
-            signs = np.stack([observed.signs, other.signs]).astype(float)
+        for other in (observed_signs, complement):
+            signs = np.stack([observed_signs, other]).astype(float)
             obs, perm = kernel.evaluate(limits, state, signs)
             assert np.array_equal(np.abs(perm), np.abs(obs))
 
@@ -410,12 +409,12 @@ class TestStepKernel:
             P, C, T = len(ds.patterns.rep), ds.n_clusters, ds.n_periods
             assert C * T < P < ds.n_obs if covariate == "binary" else P == ds.n_obs
             kernel, state, refit_at, limits, covs = self._kernel(ds, kind, seed)
-            observed = SignedAllocation.observed(ds)
-            complement = SignedAllocation.from_treated(
-                ds.design, [c for c in range(8) if c not in observed.treated]
+            observed = observed_subset(ds)
+            observed_signs, complement = sign_block(
+                ds.design, [observed, np.setdiff1d(np.arange(8), observed)]
             )
-            for other in (observed,) if baseline else (observed, complement):
-                signs = np.stack([observed.signs, other.signs])
+            for other in (observed_signs,) if baseline else (observed_signs, complement):
+                signs = np.stack([observed_signs, other])
                 got = kernel.evaluate(limits, state, signs.astype(float))
                 want = _reference_stats(ds, kind, covs, refit_at, limits, signs)
                 np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)

@@ -6,8 +6,8 @@ import pytest
 from crtperm.data import OutcomeSpec, TrialDataset, validate_design
 from crtperm.errors import NumericalError
 from crtperm.glm import irls_fit, nuisance_design
-from crtperm.permutation import PermutationPlan, build_stat_matrix
-from crtperm.statistics import SignedAllocation, StepKernel, studentize
+from crtperm.permutation import PermutationPlan, build_stat_matrix, observed_subset, sign_block
+from crtperm.statistics import StepKernel, studentize
 
 from conftest import make_gaussian_dataset
 
@@ -51,9 +51,9 @@ class TestUnweightedStat:
         rng = np.random.default_rng(0)
         vals = rng.normal(size=6)
         ds = _one_obs_per_cluster(vals, [0, 1, 0, 1, 0, 1])
-        alloc = SignedAllocation.from_treated(ds.design, (0, 2, 4))
+        signs = sign_block(ds.design, [(0, 2, 4)])[0]
         table = vals.reshape(-1, 1)
-        assert _stat(table, -alloc.signs) == -_stat(table, alloc.signs)
+        assert _stat(table, -signs) == -_stat(table, signs)
 
     def test_four_cluster_arithmetic(self):
         # cluster contributions (1.0, -0.5, 2.0, 0.25), signs (+,-,+,-)
@@ -98,8 +98,8 @@ class TestWeightedStat:
     def test_matches_direct_linear_solve(self):
         ds, vals = self._two_cluster_fixture()
         V = [np.array([[1.05, 0.05], [0.05, 1.05]]) for _ in range(2)]
-        alloc = SignedAllocation.from_treated(ds.design, (0,))
-        t = _stat(_tables(ds, "weighted", [V])[0], alloc.signs)
+        signs = sign_block(ds.design, [(0,)])[0]
+        t = _stat(_tables(ds, "weighted", [V])[0], signs)
         # oracle: intercept-only null residuals, each 2x2 system solved directly
         r = vals - vals.mean()
         w = []
@@ -113,9 +113,9 @@ class TestWeightedStat:
     def test_reduces_to_unweighted_for_scalar_covariance(self):
         ds, _ = self._two_cluster_fixture()
         V = [0.7 * np.eye(2) for _ in range(2)]
-        alloc = SignedAllocation.from_treated(ds.design, (0,))
-        assert _stat(_tables(ds, "weighted", [V])[0], alloc.signs) == pytest.approx(
-            _stat(_tables(ds)[0], alloc.signs), abs=1e-12
+        signs = sign_block(ds.design, [(0,)])[0]
+        assert _stat(_tables(ds, "weighted", [V])[0], signs) == pytest.approx(
+            _stat(_tables(ds)[0], signs), abs=1e-12
         )
 
     def test_sign_flip_negates_exactly(self):
@@ -123,15 +123,15 @@ class TestWeightedStat:
         ds, _ = self._two_cluster_fixture("poisson")
         V = [np.array([[1.2, 0.3], [0.3, 1.2]]) for _ in range(2)]
         table = _tables(ds, "weighted", [V])[0]
-        alloc = SignedAllocation.from_treated(ds.design, (0,))
-        assert _stat(table, -alloc.signs) == -_stat(table, alloc.signs)
+        signs = sign_block(ds.design, [(0,)])[0]
+        assert _stat(table, -signs) == -_stat(table, signs)
 
     def test_common_scale_invariance(self):
         ds, _ = self._two_cluster_fixture("poisson")
-        alloc = SignedAllocation.from_treated(ds.design, (0,))
+        signs = sign_block(ds.design, [(0,)])[0]
         V = [np.array([[1.1, 0.2], [0.2, 1.1]]) for _ in range(2)]
-        base = _stat(_tables(ds, "weighted", [V])[0], alloc.signs)
-        scaled = _stat(_tables(ds, "weighted", [[3.7 * v for v in V]])[0], alloc.signs)
+        base = _stat(_tables(ds, "weighted", [V])[0], signs)
+        scaled = _stat(_tables(ds, "weighted", [[3.7 * v for v in V]])[0], signs)
         assert scaled == pytest.approx(base, abs=1e-12)
 
     def test_singular_covariance_names_cluster(self):
@@ -195,8 +195,8 @@ class TestStudentizationProperties:
         # gaussian identity with tau2 = 0: V proportional to identity and
         # G identically 1, so the two statistics coincide
         ds = make_gaussian_dataset(n_clusters=6, n_per_cluster=4, seed=13)
-        alloc = SignedAllocation.observed(ds)
+        signs = sign_block(ds.design, observed_subset(ds)[None])[0]
         V = [0.9 * np.eye(4) for _ in range(6)]
-        assert _stat(_tables(ds, "weighted", [V])[0], alloc.signs) == pytest.approx(
-            _stat(_tables(ds)[0], alloc.signs), abs=1e-12
+        assert _stat(_tables(ds, "weighted", [V])[0], signs) == pytest.approx(
+            _stat(_tables(ds)[0], signs), abs=1e-12
         )
