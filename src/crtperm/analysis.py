@@ -49,21 +49,13 @@ class AnalysisResult:
 
 
 def _analysis_covariances(dataset: TrialDataset, config: AnalysisConfig, point_fits):
-    layout = dataset.cell_counts
     out = []
     for j in range(dataset.n_outcomes):
-        if config.covariance_source == "fixed":
-            fx = config.covariance_fixed
-            cspec = CovarianceSpec(
-                structure=fx.get("structure", "exchangeable"),
-                sigma2=float(fx.get("sigma2", 1.0)),
-                tau2=float(fx.get("tau2", 0.0)),
-                lam=float(fx.get("lambda", 0.0)),
-            )
-        else:
+        cspec = config.covariance
+        if cspec is None:
             s2, t2 = estimate_variance_components(dataset, j, point_fits[j])
             cspec = CovarianceSpec("exchangeable", sigma2=max(s2, 1e-8), tau2=t2)
-        out.append(build_cluster_covariance(cspec, layout))
+        out.append(build_cluster_covariance(cspec, dataset.cell_counts))
     return out
 
 
@@ -95,9 +87,7 @@ def analyze(
     adjusted = {}
     if perm_methods:
         plan = PermutationPlan(n_draws=config.n_permutations, seed=perm_seed)
-        matrix = build_stat_matrix(
-            dataset, plan, kind=config.statistic, covariances=covariances
-        )
+        matrix = build_stat_matrix(dataset, plan, covariances=covariances)
         for m in perm_methods:
             adjusted[m] = adjust(matrix, m)
     t_pvalues = time.perf_counter()
@@ -111,7 +101,6 @@ def analyze(
             alpha=config.alpha,
             Q=config.n_search_steps,
             seed=search_seed,
-            kind=config.statistic,
             covariances=covariances,
             point_fits=point_fits,
             trace=collect_trace,

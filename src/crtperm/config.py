@@ -26,16 +26,20 @@ because the confidence-limit search is two-sided and the p-values
 must test the same hypotheses.
 
 ``covariance.source`` may instead be ``"fixed"`` with explicit
-``structure`` / ``sigma2`` / ``tau2`` / ``lambda`` entries, which are
-used verbatim for the weighted statistic.
+``structure`` / ``sigma2`` / ``tau2`` / ``lambda`` entries (defaults
+``"exchangeable"``, 1, 0, 0), which are used verbatim for the weighted
+statistic.  The block is checked when the config is read: an unknown
+key, a value of the wrong type or out of range is a
+:class:`ConfigError`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .data import OutcomeSpec
 from .errors import ConfigError
+from .glm import CovarianceSpec
 from .search import MIN_SEARCH_STEPS
 
 METHODS = ("naive", "none", "bonferroni", "holm", "romano_wolf")
@@ -91,6 +95,32 @@ def validate_run_settings(
         raise ConfigError(f"n_search_steps must be >= {MIN_SEARCH_STEPS}, got {n_search_steps}")
 
 
+def _covariance(d: dict) -> CovarianceSpec | None:
+    """The ``covariance`` block: a fixed working covariance, or None to estimate one."""
+    block = d.get("covariance", {})
+    if not isinstance(block, dict):
+        raise ConfigError(f"covariance must be an object, got {block!r}")
+    source = block.get("source", "estimate")
+    allowed = {"estimate": {"source"},
+               "fixed": {"source", "structure", "sigma2", "tau2", "lambda"}}
+    if not isinstance(source, str) or source not in allowed:
+        raise ConfigError(f"covariance source must be 'estimate' or 'fixed', got {source!r}")
+    unknown = sorted(set(block) - allowed[source])
+    if unknown:
+        raise ConfigError(f"unknown covariance field(s) for source {source!r}: {unknown}")
+    if source == "estimate":
+        return None
+    try:
+        return CovarianceSpec(
+            structure=block.get("structure", "exchangeable"),
+            sigma2=_number(block, "sigma2", 1.0),
+            tau2=_number(block, "tau2", 0.0),
+            lam=_number(block, "lambda", 0.0),
+        )
+    except ValueError as exc:
+        raise ConfigError(f"covariance: {exc}") from None
+
+
 @dataclass
 class AnalysisConfig:
     cluster_col: str
@@ -105,8 +135,7 @@ class AnalysisConfig:
     n_permutations: int = 1000
     n_search_steps: int = 2000
     seed: int = 1
-    covariance_source: str = "estimate"
-    covariance_fixed: dict = field(default_factory=dict)
+    covariance: CovarianceSpec | None = None
 
     def __post_init__(self):
         validate_run_settings(
@@ -119,11 +148,6 @@ class AnalysisConfig:
             raise ConfigError(
                 f"sided must be 'two_sided', got {self.sided!r}: the confidence-limit "
                 "search is two-sided, so the p-values are too"
-            )
-        if self.covariance_source not in ("estimate", "fixed"):
-            raise ConfigError(
-                f"covariance source must be 'estimate' or 'fixed', got "
-                f"{self.covariance_source!r}"
             )
 
     @classmethod
@@ -150,7 +174,6 @@ class AnalysisConfig:
                 raise
             except Exception as exc:
                 raise ConfigError(str(exc)) from None
-        cov = d.get("covariance", {"source": "estimate"})
         return cls(
             cluster_col=_require(columns, "cluster"),
             treatment_col=_require(columns, "treatment"),
@@ -164,6 +187,5 @@ class AnalysisConfig:
             n_permutations=_integer(d, "n_permutations", 1000),
             n_search_steps=_integer(d, "n_search_steps", 2000),
             seed=_integer(d, "seed", 1),
-            covariance_source=cov.get("source", "estimate"),
-            covariance_fixed={k: v for k, v in cov.items() if k != "source"},
+            covariance=_covariance(d),
         )

@@ -229,23 +229,6 @@ class TrialDataset:
         return d
 
     @property
-    def cluster_obs_indices(self) -> tuple[np.ndarray, ...]:
-        """Per-cluster observation indices ordered by (period, row order).
-
-        This ordering defines the within-cluster covariance layout used
-        by the weighted statistic.
-        """
-        sl = self._cache.get("cluster_obs_indices")
-        if sl is None:
-            order = np.lexsort((np.arange(self.n_obs), self.period, self.cluster_index))
-            bounds = np.searchsorted(
-                self.cluster_index[order], np.arange(self.n_clusters + 1)
-            )
-            sl = tuple(order[bounds[c]:bounds[c + 1]] for c in range(self.n_clusters))
-            self._cache["cluster_obs_indices"] = sl
-        return sl
-
-    @property
     def patterns(self) -> "RowPatterns":
         """The rows' distinct (cell, covariate row) patterns; see :class:`RowPatterns`."""
         pat = self._cache.get("patterns")

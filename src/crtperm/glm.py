@@ -21,8 +21,22 @@ number of cells when there are no covariates) instead of rows.
 
 Variance components are estimated by a one-way ANOVA moment
 decomposition of Pearson residuals (between/within cluster mean
-squares), which supplies the per-cluster working covariance matrices
-used by the weighted statistic without requiring a mixed-model solver.
+squares), which supplies the working covariance used by the weighted
+statistic without requiring a mixed-model solver.
+
+Every working covariance has the form V_c = sigma2 I + Z_c Lambda Z_c',
+where Z_c maps cluster c's rows to its periods and Lambda is a (T, T)
+period matrix: 0 (``independent``), tau2 11' (``exchangeable``) or
+tau2 lam^|t - u| (``ar1_time``).  By the Woodbury identity,
+
+    Z_c' V_c^{-1} = W_c Z_c',             W_c = (sigma2 I + N_c Lambda)^{-1},
+    V_c^{-1} = (I - Z_c K_c Z_c') / sigma2,  K_c = Lambda W_c,
+
+with N_c = Z_c' Z_c the diagonal matrix of cell counts.  So everything
+the statistic and the GLS fit need from V_c^{-1} comes from cell totals
+and two (T, T) maps per cluster (:class:`CellCovariance`): no n_c x n_c
+matrix is formed or factored, and the memory a weighted analysis needs
+grows with its rows, not with the squares of its cluster sizes.
 """
 
 from __future__ import annotations
@@ -31,7 +45,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 from scipy.special import expit
 
 from .data import TrialDataset
@@ -206,8 +219,8 @@ def irls_fit(
     ------
     NumericalError
         On non-convergence after ``max_iter`` iterations (the error
-        carries the last iterate as ``last_model``), or when a binomial
-        fit diverges (separation).
+        carries the last iterate as ``last_model``), when a binomial
+        fit diverges (separation), or when the fitted mean overflows.
     """
     if not 0 <= outcome_index < dataset.n_outcomes:
         raise IndexError(f"outcome index {outcome_index} out of range")
@@ -254,7 +267,14 @@ def irls_fit(
         w = counts * dmu**2 / np.maximum(var, 1e-12)
         z = (eta - offset) + (ybar - mu) / np.maximum(dmu, 1e-12)
         sw = np.sqrt(w)
-        new_coef, *_ = np.linalg.lstsq(X * sw[:, None], z * sw, rcond=None)
+        zw = z * sw
+        # a weight or response that is not finite makes the sum not finite
+        if not np.isfinite(zw.sum()):
+            raise NumericalError(
+                f"IRLS diverged for outcome {spec.name!r}: the fitted mean "
+                "overflowed (non-finite working weights)"
+            )
+        new_coef, *_ = np.linalg.lstsq(X * sw[:, None], zw, rcond=None)
         change = float(np.max(np.abs(new_coef - coef))) if n_iter > 1 else np.inf
         coef = new_coef
         eta = X @ coef + offset
@@ -383,64 +403,43 @@ def estimate_variance_components(
     return msw, tau2
 
 
-def build_cluster_covariance(
-    spec: CovarianceSpec, layout: np.ndarray
-) -> list[np.ndarray]:
-    """Assemble per-cluster working covariance matrices.
+@dataclass(frozen=True)
+class CellCovariance:
+    """A working covariance in cell form, for every cluster of one layout.
+
+    Cluster c's covariance is V_c = sigma2 I + Z_c Lambda Z_c', with Z_c
+    its rows-to-periods indicator and Lambda the spec's (T, T) period
+    matrix.  ``W[c]`` = (sigma2 I + N_c Lambda)^{-1} and ``K[c]`` =
+    Lambda W[c], with N_c = diag(``counts[c]``), act on cell totals:
+    the cell totals of V_c^{-1} v are W[c] times those of v, and
+    V_c^{-1} v = (v - Z_c K[c] Z_c' v) / sigma2.
+    """
+
+    spec: CovarianceSpec
+    counts: np.ndarray  # (C, T) rows per cell of the layout it was built for
+    W: np.ndarray  # (C, T, T)
+    K: np.ndarray  # (C, T, T)
+
+
+def build_cluster_covariance(spec: CovarianceSpec, layout: np.ndarray) -> CellCovariance:
+    """The working covariance of every cluster of ``layout``, in cell form.
 
     ``layout`` is the (C, T) array of observation counts per
-    cluster-period cell.  Within each cluster, observations are ordered
-    by period (matching ``TrialDataset.cluster_obs_indices``).  The
-    returned matrices are symmetric positive definite by construction.
+    cluster-period cell.  Costs O(C T^3) whatever the cluster sizes.
     """
     layout = np.asarray(layout, dtype=int)
     if layout.ndim != 2:
         raise ValueError("layout must be a (clusters x periods) count array")
-    mats = []
-    for counts in layout:
-        n_c = int(counts.sum())
-        periods = np.repeat(np.arange(1, len(counts) + 1), counts)
-        if spec.structure == "independent" or spec.tau2 == 0.0:
-            V = spec.sigma2 * np.eye(n_c)
-        elif spec.structure == "exchangeable":
-            V = np.full((n_c, n_c), spec.tau2)
-            V[np.diag_indices(n_c)] += spec.sigma2
-        else:  # ar1_time
-            gap = np.abs(periods[:, None] - periods[None, :])
-            V = spec.tau2 * spec.lam**gap
-            V[np.diag_indices(n_c)] += spec.sigma2
-        mats.append(V)
-    return mats
-
-
-def size_groups(blocks) -> list[tuple[list[int], np.ndarray]]:
-    """Clusters grouped by block size: (cluster indices, (C_g, s_g) index stack).
-
-    ``blocks[c]`` holds cluster c's indices, into the rows or into the
-    row patterns.
-    """
-    by_size: dict[int, list[int]] = {}
-    for c, idx in enumerate(blocks):
-        by_size.setdefault(len(idx), []).append(c)
-    return [(clusters, np.stack([blocks[c] for c in clusters])) for clusters in by_size.values()]
-
-
-def cholesky_blocks(dataset: TrialDataset, V: np.ndarray, clusters: list[int]):
-    """Cholesky factors of a stack of covariance blocks, one call for all of them.
-
-    ``V`` has shape (..., C_g, s, s), its (C_g) axis running over
-    ``clusters``.  A block that is not positive definite raises
-    :class:`NumericalError` naming the cluster with the smallest
-    eigenvalue.
-    """
-    try:
-        return cho_factor(V, lower=True)
-    except np.linalg.LinAlgError as exc:
-        eig = np.moveaxis(np.linalg.eigvalsh(V), -2, 0).reshape(len(clusters), -1)
-        worst = clusters[int(np.argmin(eig.min(axis=1)))]
-        raise NumericalError(
-            f"singular covariance matrix for cluster {dataset.cluster_labels[worst]!r}"
-        ) from exc
+    T = layout.shape[1]
+    t = np.arange(T)
+    if spec.structure == "independent":
+        lam = np.zeros((T, T))
+    elif spec.structure == "exchangeable":
+        lam = np.full((T, T), spec.tau2)
+    else:  # ar1_time
+        lam = spec.tau2 * spec.lam ** np.abs(t[:, None] - t[None, :])
+    W = np.linalg.inv(spec.sigma2 * np.eye(T) + layout[:, :, None] * lam)
+    return CellCovariance(spec=spec, counts=layout, W=W, K=lam @ W)
 
 
 def fgls_gaussian(
@@ -449,35 +448,29 @@ def fgls_gaussian(
     """Feasible GLS estimate and standard error of the treatment effect.
 
     Fits by ordinary least squares, moment-estimates the variance
-    components, assembles the exchangeable working covariance, and
-    solves the GLS normal equations.  This is the model-based
-    comparator for gaussian outcomes; it ignores the small-sample
-    distribution of the variance estimates, which is exactly the
-    behaviour the permutation methods are meant to fix.
+    components, and solves the GLS normal equations under the
+    exchangeable working covariance, whose quadratic forms need only
+    the design's and the outcome's cell totals:
+    X' V^{-1} X = (X'X - sum_c Xc' K_c Xc) / sigma2, Xc the cell totals
+    of cluster c's rows.  This is the model-based comparator for
+    gaussian outcomes; it ignores the small-sample distribution of the
+    variance estimates, which is exactly the behaviour the permutation
+    methods are meant to fix.
     """
     ols = irls_fit(dataset, outcome_index)
     sigma2, tau2 = estimate_variance_components(dataset, outcome_index, ols)
-    X_nuis, _ = nuisance_design(dataset)
-    X = np.column_stack([X_nuis, dataset.treatment.astype(float)])
-    y = dataset.outcomes[:, outcome_index]
     spec = CovarianceSpec("exchangeable", sigma2=max(sigma2, 1e-12), tau2=tau2)
-    mats = build_cluster_covariance(spec, dataset.cell_counts)
-    p = X.shape[1]
-    xtvx = np.zeros((p, p))
-    xtvy = np.zeros(p)
-    blocks = dataset.cluster_obs_indices
-    solved: list = [None] * len(blocks)
-    for clusters, idx in size_groups(blocks):
-        fac = cholesky_blocks(dataset, np.array([mats[c] for c in clusters]), clusters)
-        zx, zy = cho_solve(fac, X[idx]), cho_solve(fac, y[idx][..., None])
-        for k, c in enumerate(clusters):
-            solved[c] = (zx[k], zy[k, :, 0])
-    for idx, (zx, zy) in zip(blocks, solved):
-        xtvx += X[idx].T @ zx
-        xtvy += X[idx].T @ zy
-    cov = np.linalg.pinv(xtvx)
-    beta = cov @ xtvy
-    return float(beta[-1]), float(np.sqrt(max(cov[-1, -1], 0.0)))
+    cov = build_cluster_covariance(spec, dataset.cell_counts)
+    X_nuis, _ = nuisance_design(dataset)
+    Xy = np.column_stack(
+        [X_nuis, dataset.treatment.astype(float), dataset.outcomes[:, outcome_index]]
+    )
+    cells = np.stack([dataset.cell_totals(v) for v in Xy.T], axis=-1)  # (C, T, p + 1)
+    gram = (Xy.T @ Xy - np.einsum("ctp,ctu,cuq->pq", cells, cov.K, cells)) / spec.sigma2
+    p = Xy.shape[1] - 1
+    inv = np.linalg.pinv(gram[:p, :p])
+    beta = inv @ gram[:p, p]
+    return float(beta[-1]), float(np.sqrt(max(inv[-1, -1], 0.0)))
 
 
 def naive_wald(

@@ -40,6 +40,7 @@ import numpy as np
 
 from .data import TrialDataset, DesignInfo
 from .errors import NumericalError
+from .glm import CellCovariance
 from .statistics import StepKernel, beats, studentize
 
 ENUMERATION_LIMIT = 20_000
@@ -143,21 +144,22 @@ def sample_subsets(design: DesignInfo, rng: np.random.Generator, n: int) -> np.n
 def build_stat_matrix(
     dataset: TrialDataset,
     plan: PermutationPlan,
-    kind: str = "unweighted",
-    covariances: list[list[np.ndarray]] | None = None,
+    covariances: list[CellCovariance] | None = None,
 ) -> StatMatrix:
-    """Evaluate the chosen statistic for all outcomes over all allocations.
+    """Evaluate the statistic for all outcomes over all allocations.
 
     Every outcome is tested at the null delta = 0: the statistic
     kernel fits the nuisance parameters there once per outcome and
     signs the resulting cell tables under each allocation, so the
-    nuisance parameters are the same in every column.  For the
-    weighted statistic, ``covariances[j]`` is the per-cluster matrix
-    list for outcome j.  Outcomes are studentized one at a time, so
-    memory grows with the number of allocations, not with outcomes
-    times allocations.
+    nuisance parameters are the same in every column.  The statistic
+    is weighted when ``covariances`` is given: ``covariances[j]`` is
+    outcome j's working covariance, built by
+    :func:`~crtperm.glm.build_cluster_covariance` for the dataset's
+    cell layout.  Outcomes are studentized one at a time, so memory
+    grows with the number of allocations, not with outcomes times
+    allocations.
     """
-    kernel = StepKernel(dataset, kind, covariances, 1)
+    kernel = StepKernel(dataset, covariances, 1)
     null = np.zeros((1, dataset.n_outcomes))
     tables = kernel.tables(null, kernel.start(null))[0]
 

@@ -44,7 +44,7 @@ import numpy as np
 from scipy.stats import norm
 
 from .data import TrialDataset
-from .glm import FittedMeanModel, irls_fit
+from .glm import CellCovariance, FittedMeanModel, irls_fit
 from .permutation import observed_subset, sample_subsets, sign_block
 from .statistics import StepKernel, beats
 
@@ -206,7 +206,6 @@ def _search_limits(
     alpha: float,
     Q: int,
     seed: int,
-    kind: str,
     covariances,
     point_fits,
     trace: bool,
@@ -215,7 +214,7 @@ def _search_limits(
     if Q < MIN_SEARCH_STEPS:
         raise ValueError(f"the search needs at least {MIN_SEARCH_STEPS} steps")
     M = len(methods)
-    kernel = StepKernel(dataset, kind, covariances, M)
+    kernel = StepKernel(dataset, covariances, M)
     design = dataset.design
     J = dataset.n_outcomes
     if point_fits is None:
@@ -289,8 +288,7 @@ def rm_search(
     alpha: float = 0.05,
     Q: int = 2000,
     seed: int = 0,
-    kind: str = "unweighted",
-    covariances: list[list[np.ndarray]] | None = None,
+    covariances: list[CellCovariance] | None = None,
     point_fits: list[FittedMeanModel] | None = None,
     trace: bool = False,
 ) -> ConfidenceSet:
@@ -303,14 +301,16 @@ def rm_search(
     re-evaluated at the exact candidate value every step.  One
     permutation draw per step is shared across outcomes.
 
-    ``point_fits`` may supply precomputed unconstrained fits (one per
-    outcome) to avoid refitting when several methods are searched on
-    the same data.  The chains draw from streams keyed by
+    The statistic is weighted when ``covariances`` holds one working
+    covariance per outcome, as for
+    :func:`~crtperm.permutation.build_stat_matrix`.  ``point_fits`` may
+    supply precomputed unconstrained fits (one per outcome) to avoid
+    refitting when several methods are searched on the same data.  The chains draw from streams keyed by
     ``(seed, side)``, so two methods searched with the same seed see
     identical permutation sequences.
     """
     return _search_limits(
-        dataset, [method], alpha, Q, seed, kind, covariances, point_fits, trace
+        dataset, [method], alpha, Q, seed, covariances, point_fits, trace
     )[method]
 
 
@@ -320,8 +320,7 @@ def search_all_methods(
     alpha: float = 0.05,
     Q: int = 2000,
     seed: int = 0,
-    kind: str = "unweighted",
-    covariances: list[list[np.ndarray]] | None = None,
+    covariances: list[CellCovariance] | None = None,
     point_fits: list[FittedMeanModel] | None = None,
     trace: bool = False,
 ) -> dict[str, ConfidenceSet]:
@@ -331,5 +330,5 @@ def search_all_methods(
     same seed, but evaluates the shared per-step statistics only once.
     """
     return _search_limits(
-        dataset, list(methods), alpha, Q, seed, kind, covariances, point_fits, trace
+        dataset, list(methods), alpha, Q, seed, covariances, point_fits, trace
     )

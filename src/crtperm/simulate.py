@@ -403,7 +403,7 @@ class SimulationReport:
 
 
 def _study_covariances(study: StudySpec, dataset, point_fits):
-    """Per-outcome cluster covariance lists for the weighted statistic.
+    """Per-outcome working covariances for the weighted statistic.
 
     Models with a single period use estimated exchangeable components;
     the baseline-measure model uses the autoregressive structure with
@@ -448,9 +448,7 @@ def _one_replicate(args) -> dict:
         plan = PermutationPlan(
             n_draws=study.n_permutations, seed=perm_seed, enumerate_exact=False
         )
-        matrix = build_stat_matrix(
-            dataset, plan, kind=study.statistic, covariances=covariances
-        )
+        matrix = build_stat_matrix(dataset, plan, covariances=covariances)
         search_sets = {}
         if study.run_search:
             search_sets = search_all_methods(
@@ -459,7 +457,6 @@ def _one_replicate(args) -> dict:
                 alpha=alpha,
                 Q=study.n_search_steps,
                 seed=search_seed,
-                kind=study.statistic,
                 covariances=covariances,
                 point_fits=point_fits,
             )

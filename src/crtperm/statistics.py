@@ -27,23 +27,30 @@ The tables come from two sources:
 - identity links are affine in delta: after a nuisance fit at
   delta_r the table is ``R0 + delta_r * HD - delta * Dtab``, the cell
   totals of y - Hy, HD and D (H the nuisance hat matrix), built once
-  per outcome; the weighted statistic applies the inverse working
-  covariances to those three row vectors once, so its tables carry
-  V^{-1} already (and G is one under the identity link);
+  per outcome; the weighted statistic maps each cluster's three tables
+  by its W_c once (the cell totals of V_c^{-1} v are W_c times those of
+  v), so its tables carry V^{-1} already (and G is one under the
+  identity link);
 - log and logit links work on the dataset's row patterns (distinct
   (cell, covariate row) combinations, among which the fitted mean
-  h(eta_p) is constant; see :class:`~crtperm.data.RowPatterns`).
-  With S the rows-to-patterns indicator, each pattern's entry is
-  ``g_p * (A - B mu)_p`` with A = S' V^{-1} y and B = S' V^{-1} S
-  compressed once per outcome and cluster, g_p the link-derivative
-  weight and mu_p = h(eta_p); the unweighted statistic is the same
-  formula with V = I and g = 1, i.e. ``ysum_p - count_p * mu_p``.
-  Weighted tables apply B with one batched ``matmul`` per distinct
-  number of patterns per cluster; one ``bincount`` then sums the
-  patterns into cells.  The cost grows with the number of patterns,
-  not rows; so does a nuisance fit (:func:`crtperm.glm.irls_fit`
-  iterates on the same patterns), apart from the fit's final gather
-  of its per-row linear predictor.
+  h(eta_p) is constant; see :class:`~crtperm.data.RowPatterns`).  A
+  pattern's unweighted residual is r_p = ysum_p - count_p * mu_p with
+  mu_p = h(eta_p), and one ``bincount`` sums these into the unweighted
+  table R.  The weighted entry of a pattern of cluster c is
+  ``g_p * (r_p - count_p * [K_c R_c]_cell(p)) / sigma2``, the pattern
+  total of G * V_c^{-1} (y - mu) with g_p the link-derivative weight;
+  a (C, T, T) product and a second ``bincount`` give its table.  The
+  cost grows with the number of patterns, not rows; so does a nuisance
+  fit (:func:`crtperm.glm.irls_fit` iterates on the same patterns),
+  apart from the fit's final gather of its per-row linear predictor.
+
+W_c = (sigma2 I + N_c Lambda)^{-1} and K_c = Lambda W_c are the (T, T)
+period maps of :class:`~crtperm.glm.CellCovariance` (N_c the cell
+counts, Lambda the covariance's period matrix).  They follow from the
+Woodbury identity, and they are why no V_c^{-1} is ever formed: the
+working covariance is sigma2 I plus a matrix of rank at most T, so
+nothing of size rows x rows per cluster is needed, and weighted memory
+grows with the rows.
 
 Ties.  Allocations that tie with the observed one in exact arithmetic
 (the same or the complementary signs, or clusters with identical
@@ -60,18 +67,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_solve
 
 from .data import TrialDataset
 from .errors import NumericalError
-from .glm import (
-    cholesky_blocks,
-    irls_fit,
-    link_inverse,
-    mean_derivative,
-    nuisance_design,
-    size_groups,
-)
+from .glm import CellCovariance, irls_fit, link_inverse, mean_derivative, nuisance_design
 
 #: absolute tolerance below the observed |statistic| within which a
 #: permuted one still ties; rounding moves a statistic bounded by
@@ -101,38 +100,19 @@ def studentize(tables: np.ndarray, signs: np.ndarray) -> np.ndarray:
         return cs.sum(axis=-1) / np.sqrt((cs * cs).sum(axis=-1))
 
 
-def _cluster_inverses(dataset: TrialDataset, covariances, groups) -> list[np.ndarray]:
-    """Inverse working covariances, one (J, C_g, s_g, s_g) stack per row group."""
-    sizes = [len(idx) for idx in dataset.cluster_obs_indices]
-    for outcome_covariances in covariances:
-        if len(outcome_covariances) != len(sizes):
+def _check_covariances(dataset: TrialDataset, covariances) -> None:
+    """One cell-form covariance per outcome, each built for the dataset's layout."""
+    if len(covariances) != dataset.n_outcomes:
+        raise ValueError(
+            f"expected one covariance per outcome ({dataset.n_outcomes}), "
+            f"got {len(covariances)}"
+        )
+    for j, cov in enumerate(covariances):
+        if not (isinstance(cov, CellCovariance)
+                and np.array_equal(cov.counts, dataset.cell_counts)):
             raise ValueError(
-                f"expected {len(sizes)} covariance matrices, got {len(outcome_covariances)}"
+                f"covariance of outcome {j} was not built for this dataset's cell layout"
             )
-        for c, V in enumerate(outcome_covariances):
-            if np.shape(V) != (sizes[c], sizes[c]):
-                raise ValueError(
-                    f"covariance for cluster {dataset.cluster_labels[c]!r} has shape "
-                    f"{np.shape(V)}, expected ({sizes[c]}, {sizes[c]})"
-                )
-    stacks = []
-    for clusters, _ in groups:
-        V = np.array([[covs[c] for c in clusters] for covs in covariances])
-        fac = cholesky_blocks(dataset, V, clusters)
-        stacks.append(cho_solve(fac, np.broadcast_to(np.eye(V.shape[-1]), V.shape)))
-    return stacks
-
-
-def _solve_blocks(values, groups, blocks) -> np.ndarray:
-    """Each cluster's block of ``values`` (K, L, N) times its square block.
-
-    ``blocks[g]`` has shape (K, C_g, s_g, s_g): one stack per leading
-    row, so one ``matmul`` serves every cluster of one size.
-    """
-    out = np.empty_like(values)
-    for (_, idx), block in zip(groups, blocks):
-        out[:, :, idx] = np.matmul(values[:, :, idx].swapaxes(1, 2), block).swapaxes(1, 2)
-    return out
 
 
 @dataclass
@@ -149,19 +129,21 @@ class StepKernel:
 
     A chain is one (method, outcome) pair: ``n_methods`` rows of the
     dataset's outcomes, each with its own candidate delta and nuisance
-    fit.  The permutation matrix uses one row, at delta = 0.
+    fit.  The permutation matrix uses one row, at delta = 0.  The
+    statistic is weighted when ``covariances`` holds one
+    :class:`~crtperm.glm.CellCovariance` per outcome, built for the
+    dataset's cell layout, and unweighted when it is None.
     """
 
-    def __init__(self, dataset: TrialDataset, kind: str, covariances, n_methods: int):
+    def __init__(self, dataset: TrialDataset, covariances, n_methods: int):
         design = dataset.design
         if design is None:
             raise ValueError("dataset has no validated design")
-        if kind not in ("unweighted", "weighted"):
-            raise ValueError(f"unknown statistic kind: {kind!r}")
-        if kind == "weighted" and covariances is None:
-            raise ValueError("weighted statistic requires per-outcome covariances")
+        self.weighted = covariances is not None
+        if self.weighted:
+            _check_covariances(dataset, covariances)
         specs = dataset.outcome_specs
-        J, n = dataset.n_outcomes, dataset.n_obs
+        J = dataset.n_outcomes
         C, T = design.n_clusters, design.n_periods
         self.dataset = dataset
         self.M = n_methods
@@ -172,11 +154,10 @@ class StepKernel:
         affine = [j for j in range(J) if self.affine_mask[j]]
         self.fitted = [j for j in range(J) if not self.affine_mask[j]]
         self.links = [specs[j].link for j in self.fitted]
-        self.weighted = kind == "weighted"
         self.Dp = np.empty(0)  # treatment per row pattern, when a link is fitted
 
-        # identity-link rows: (y - Hy, HD, D); fitted outcomes' first row: y
-        vecs = np.zeros((J, 3, n))
+        # identity-link tables: cell totals of (y - Hy, HD, D)
+        tabs = np.zeros((J, 3, C, T))
         if affine:
             y = dataset.outcomes[:, affine]
             # equal outcome columns share one projection: a least-squares
@@ -187,54 +168,27 @@ class StepKernel:
             ]
             keep = sorted(set(first))
             HZ = X @ np.linalg.lstsq(X, np.column_stack([D, y[:, keep]]), rcond=None)[0]
-            vecs[affine, 0] = (y - HZ[:, [1 + keep.index(i) for i in first]]).T
-            vecs[affine, 1] = HZ[:, 0]
-            vecs[affine, 2] = D
-        vecs[self.fitted, 0] = dataset.outcomes[:, self.fitted].T
+            for k, j in enumerate(affine):
+                rows = (y[:, k] - HZ[:, 1 + keep.index(first[k])], HZ[:, 0], D)
+                tabs[j] = [dataset.cell_totals(v) for v in rows]
         if self.weighted:
-            row_groups = size_groups(dataset.cluster_obs_indices)
-            inverses = _cluster_inverses(dataset, covariances, row_groups)
-            vecs = _solve_blocks(vecs, row_groups, inverses)
-        tabs = np.zeros((J, 3, C, T))
-        for j in affine:
-            tabs[j] = [dataset.cell_totals(v) for v in vecs[j]]
+            W = np.stack([cov.W for cov in covariances])
+            tabs = np.matmul(W[:, None], tabs[..., None])[..., 0]
         self.R0, self.HD, self.Dtab = tabs[:, 0], tabs[:, 1], tabs[:, 2]
 
         if self.fitted:
-            # per pattern p: g_p * (A - B mu)_p, with A = S^T V^-1 y and
-            # B = S^T V^-1 S for the rows-to-patterns indicator S (V = I
-            # and g = 1 unweighted, so B = diag(counts))
             pat = dataset.patterns
-            P = len(pat.rep)
             self.Xp = X[pat.rep]
             self.Dp = D[pat.rep]
-            self.A = np.array([
-                np.bincount(pat.of_row, weights=vecs[j, 0], minlength=P)
-                for j in self.fitted
-            ])[:, None, :]
+            self.ysum = pat.ysum[:, self.fitted].T[:, None, :]
+            self.counts = pat.counts
+            self.cell = pat.cell
             rows = len(self.fitted) * n_methods
             self.n_bins = rows * C * T
             self.keys = (np.arange(rows)[:, None] * (C * T) + pat.cell[None, :]).ravel()
             if self.weighted:
-                first = np.searchsorted(pat.cell // T, np.arange(C + 1))
-                blocks = [np.arange(first[c], first[c + 1]) for c in range(C)]
-                self.pattern_groups = size_groups(blocks)
-                S = [
-                    (pat.of_row[idx][:, None] == blocks[c]).astype(float)
-                    for c, idx in enumerate(dataset.cluster_obs_indices)
-                ]
-                inverse = [None] * C  # cluster c's (J, s_c, s_c) inverses
-                for (clusters, _), stack in zip(row_groups, inverses):
-                    for k, c in enumerate(clusters):
-                        inverse[c] = stack[:, k]
-                self.B = [
-                    np.array([
-                        [S[c].T @ inverse[c][j] @ S[c] for c in clusters] for j in self.fitted
-                    ])
-                    for clusters, _ in self.pattern_groups
-                ]
-            else:
-                self.counts = pat.counts
+                self.K = np.stack([covariances[j].K for j in self.fitted])[:, None]
+                self.sigma2 = [covariances[j].spec.sigma2 for j in self.fitted]
 
     def start(self, limits: np.ndarray) -> _Nuisance:
         """Fit every chain's nuisance parameters at its starting delta."""
@@ -287,19 +241,23 @@ class StepKernel:
         if not self.fitted:
             return tab
         # far-out limits overflow the mean; the statistic is then not finite
+        F, C, T = len(self.fitted), *self.cells
         with np.errstate(over="ignore", invalid="ignore"):
             eta = state.eta_base + limits[:, self.fitted].T[:, :, None] * self.Dp
             mu = np.empty_like(eta)
             for i, link in enumerate(self.links):
                 mu[i] = link_inverse(eta[i], link)
+            resid = self.ysum - self.counts * mu
+            sums = np.bincount(self.keys, weights=resid.ravel(), minlength=self.n_bins)
             if self.weighted:
-                resid = self.A - _solve_blocks(mu, self.pattern_groups, self.B)
+                # g_p (r_p - count_p [K_c R_c]_cell(p)) / sigma2, R the cells of r
+                R = sums.reshape((F, self.M, C, T, 1))
+                KR = np.matmul(self.K, R).reshape(F, self.M, C * T)
+                resid -= self.counts * KR[..., self.cell]
                 for i, link in enumerate(self.links):
-                    resid[i] *= 1.0 / mean_derivative(eta[i], link)
-            else:
-                resid = self.A - self.counts * mu
-        sums = np.bincount(self.keys, weights=resid.ravel(), minlength=self.n_bins)
-        tab[:, self.fitted] = sums.reshape((len(self.fitted), self.M) + self.cells).swapaxes(0, 1)
+                    resid[i] *= 1.0 / (self.sigma2[i] * mean_derivative(eta[i], link))
+                sums = np.bincount(self.keys, weights=resid.ravel(), minlength=self.n_bins)
+        tab[:, self.fitted] = sums.reshape((F, self.M) + self.cells).swapaxes(0, 1)
         return tab
 
     def evaluate(self, limits: np.ndarray, state: _Nuisance, signs: np.ndarray) -> np.ndarray:

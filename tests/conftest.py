@@ -84,17 +84,19 @@ def make_baseline_dataset(n_clusters=6, n_per_cluster=4, seed=0):
     return ds
 
 
-def make_mixed_dataset(baseline, seed=0, n_clusters=8, covariate=None):
+def make_mixed_dataset(baseline, seed=0, n_clusters=8, covariate=None, cell_sizes=(2, 7)):
     """Gaussian, Poisson and binary outcomes; unequal cells; shuffled rows.
 
     ``baseline`` gives two periods with everyone untreated in the first,
     otherwise one period; half the clusters are treated.  ``covariate``
     adds one row-level covariate, "binary" (fewer row patterns than
-    rows) or "continuous" (one pattern per row).
+    rows) or "continuous" (one pattern per row).  Each (cluster, period)
+    cell draws its row count uniformly from the half-open range
+    ``cell_sizes``.
     """
     rng = np.random.default_rng(seed)
     C, T = n_clusters, 2 if baseline else 1
-    sizes = rng.integers(2, 7, size=(C, T))
+    sizes = rng.integers(*cell_sizes, size=(C, T))
     treated = np.zeros(C, dtype=bool)
     treated[rng.choice(C, size=C // 2, replace=False)] = True
     cluster_index = np.repeat(np.arange(C), sizes.sum(axis=1))
@@ -132,13 +134,36 @@ def make_mixed_dataset(baseline, seed=0, n_clusters=8, covariate=None):
     return ds
 
 
-def reference_table(ds, j, beta, delta, covariances=None):
+def dense_covariance(spec, counts):
+    """Cluster working covariance V = sigma2 I + Z Lambda Z' as a dense matrix.
+
+    ``counts`` holds the cluster's rows per period; rows are ordered by
+    period.  The test oracle for the library's cell form.
+    """
+    periods = np.repeat(np.arange(len(counts)), counts)
+    if spec.structure == "independent":
+        V = np.zeros((len(periods), len(periods)))
+    elif spec.structure == "exchangeable":
+        V = np.full((len(periods), len(periods)), spec.tau2)
+    else:  # ar1_time
+        V = spec.tau2 * spec.lam ** np.abs(periods[:, None] - periods[None, :])
+    V[np.diag_indices(len(periods))] += spec.sigma2
+    return V
+
+
+def cluster_rows(ds, c):
+    """Cluster c's row indices ordered by period, the layout of its dense covariance."""
+    idx = np.flatnonzero(ds.cluster_index == c)
+    return idx[np.argsort(ds.period[idx], kind="stable")]
+
+
+def reference_table(ds, j, beta, delta, spec=None):
     """Outcome j's (C, T) statistic table at ``delta``, written out in plain numpy.
 
     Residuals are y - h(X beta + delta D) with the nuisance design X;
-    the weighted table (``covariances``: one matrix per cluster) holds
-    G * V_c^{-1} r_c per cluster, solved directly, with G = 1 / h'(eta).
-    Each cell is an exactly rounded sum.
+    the weighted table (``spec``: a working covariance spec) holds
+    G * V_c^{-1} r_c per cluster, with V_c built dense and solved
+    directly, and G = 1 / h'(eta).  Each cell is an exactly rounded sum.
     """
     X, _ = nuisance_design(ds)
     eta = X @ beta + delta * ds.treatment
@@ -152,11 +177,12 @@ def reference_table(ds, j, beta, delta, covariances=None):
         mu = 1.0 / (1.0 + np.exp(-eta))
         G = 1.0 / (mu * (1.0 - mu))
     w = ds.outcomes[:, j] - mu
-    if covariances is not None:
-        w = w.copy()
-        for c, idx in enumerate(ds.cluster_obs_indices):
-            w[idx] = G[idx] * np.linalg.solve(covariances[c], w[idx])
     C, T = ds.n_clusters, int(ds.period.max())
+    if spec is not None:
+        w = w.copy()
+        for c, counts in enumerate(ds.cell_counts):
+            idx = cluster_rows(ds, c)
+            w[idx] = G[idx] * np.linalg.solve(dense_covariance(spec, counts), w[idx])
     return np.array([
         [math.fsum(w[(ds.cluster_index == c) & (ds.period == t + 1)]) for t in range(T)]
         for c in range(C)

@@ -347,7 +347,7 @@ class TestCriterion9PropertySuites:
                 cluster_sd=float(rng.uniform(0.05, 0.6)),
                 seed=int(rng.integers(0, 2**31)),
             )
-            kernel = StepKernel(ds, "unweighted", None, 1)
+            kernel = StepKernel(ds, None, 1)
             null = np.zeros((1, J))
             table = kernel.tables(null, kernel.start(null))[0, 0]
             signs = sign_block(ds.design, observed_subset(ds)[None])[0]

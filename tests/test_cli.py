@@ -194,6 +194,17 @@ BAD_SETTINGS = {
     "too_few_search_steps": ({"n_search_steps": 50}, "n_search_steps must be >= 100"),
     "methods_string": ({"methods": "holm"}, "methods must be a list"),
 }
+# a malformed fixed covariance block for the weighted statistic, with its message
+BAD_COVARIANCES = {
+    "sigma2_negative": ({"sigma2": -1}, "covariance: sigma2 must be positive, got -1.0"),
+    "sigma2_text": ({"sigma2": "x"}, "covariance: sigma2 must be a number, got 'x'"),
+    "structure_unknown": ({"structure": "banded"},
+                          "covariance: unknown covariance structure: 'banded'"),
+    "lambda_out_of_range": ({"structure": "ar1_time", "lambda": 1.5},
+                            "covariance: lambda must be in [0, 1), got 1.5"),
+    "not_an_object": ([1, 2], "covariance must be an object, got [1, 2]"),
+    "unknown_key": ({"rho": 0.3}, "unknown covariance field(s) for source 'fixed': ['rho']"),
+}
 STUDY_ONLY_SETTINGS = {
     "replicates_text": ({"replicates": "ten"}, "replicates must be a number"),
     "clusters_text": ({"clusters_per_arm": "four"}, "clusters_per_arm must be a number"),
@@ -237,6 +248,23 @@ class TestConfigErrors:
             "--seed", "-1",
         ])
         self._assert_config_error(code, capsys, "seed must be non-negative")
+
+    @pytest.mark.parametrize(
+        "block, message", BAD_COVARIANCES.values(), ids=BAD_COVARIANCES.keys()
+    )
+    def test_analyze_malformed_covariance(self, tmp_path, capsys, block, message):
+        if isinstance(block, dict):
+            block = {"source": "fixed", **block}
+        data, _ = _write_data(tmp_path)
+        cfg = _analysis_config(
+            tmp_path, [{"name": "y1", "family": "gaussian"}],
+            statistic="weighted", covariance=block,
+        )
+        code = main([
+            "analyze", "--data", str(data), "--config", str(cfg),
+            "--out", str(tmp_path / "o.json"),
+        ])
+        self._assert_config_error(code, capsys, message)
 
     def test_analyze_rejects_one_sided(self, tmp_path, capsys):
         # p-values and limits must test the same hypotheses, and the

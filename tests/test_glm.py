@@ -14,7 +14,7 @@ from crtperm.glm import (
     nuisance_design,
 )
 
-from conftest import make_gaussian_dataset
+from conftest import cluster_rows, dense_covariance, make_gaussian_dataset, make_mixed_dataset
 
 
 def _dataset_from_arrays(y, cluster, treatment, family="gaussian", covariates=None,
@@ -122,6 +122,19 @@ class TestIrlsFit:
         )
         with pytest.raises(NumericalError, match="separation"):
             irls_fit(ds, 0)
+
+    def test_overflowing_offset_raises_numerical_error(self):
+        # a fixed effect far out overflows exp(eta): a NumericalError the
+        # search can catch, not a failure inside the least-squares solve
+        ds = _dataset_from_arrays(
+            [1.0, 3.0, 2.0, 4.0, 0.0, 2.0],
+            cluster=["A", "A", "B", "B", "C", "C"],
+            treatment=[0, 0, 1, 1, 0, 0],
+            family="poisson",
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalError, match="overflowed"):
+                irls_fit(ds, 0, delta_fixed=1e6)
 
     def test_non_convergence_carries_last_iterate(self):
         rng = np.random.default_rng(3)
@@ -329,40 +342,60 @@ class TestVarianceComponents:
             estimate_variance_components(ds, 0, fit)
 
 
+def _assert_matches_dense(spec, layout):
+    """The cell form against the dense V_c of every cluster, at rtol 1e-12.
+
+    Checks both Woodbury identities: Z' V^{-1} Z = W N (the cell totals
+    of V^{-1} v are W times those of v, here for v the columns of Z) and
+    V^{-1} = (I - Z K Z') / sigma2.
+    """
+    cov = build_cluster_covariance(spec, layout)
+    assert cov.W.shape == cov.K.shape == layout.shape + (layout.shape[1],)
+    for c, counts in enumerate(layout):
+        inv = np.linalg.inv(dense_covariance(spec, counts))
+        Z = np.repeat(np.eye(len(counts)), counts, axis=0)
+        np.testing.assert_allclose(Z.T @ inv @ Z, cov.W[c] * counts, rtol=1e-12)
+        want = (np.eye(len(Z)) - Z @ cov.K[c] @ Z.T) / spec.sigma2
+        np.testing.assert_allclose(want, inv, rtol=1e-12)
+
+
 class TestClusterCovariance:
+    """The cell form of the working covariance against the dense V_c oracle."""
+
     def test_exchangeable_two_observations(self):
+        # V = [[1.05, 0.05], [0.05, 1.05]]: one cell of two rows
         spec = CovarianceSpec("exchangeable", sigma2=1.0, tau2=0.05)
-        (V,) = build_cluster_covariance(spec, np.array([[2]]))
-        assert np.allclose(V, [[1.05, 0.05], [0.05, 1.05]])
+        cov = build_cluster_covariance(spec, np.array([[2]]))
+        assert cov.W[0, 0, 0] == pytest.approx(1.0 / 1.1, rel=1e-15)
+        assert cov.K[0, 0, 0] == pytest.approx(0.05 / 1.1, rel=1e-15)
+        _assert_matches_dense(spec, np.array([[2]]))
 
     def test_zero_tau2_gives_diagonal(self):
         for structure in ("independent", "exchangeable", "ar1_time"):
             spec = CovarianceSpec(structure, sigma2=2.0, tau2=0.0, lam=0.5)
-            (V,) = build_cluster_covariance(spec, np.array([[1, 2]]))
-            assert np.allclose(V, 2.0 * np.eye(3))
+            cov = build_cluster_covariance(spec, np.array([[1, 2]]))
+            assert np.array_equal(cov.W[0], 0.5 * np.eye(2))
+            assert not cov.K.any()
 
     def test_ar1_across_period_decay(self):
         # one observation in each of two periods: the cluster-effect
-        # covariance across periods is lam * tau2
+        # covariance across periods is lam * tau2, so W = V^{-1}
         spec = CovarianceSpec("ar1_time", sigma2=1.0, tau2=1.0, lam=0.7)
-        (V,) = build_cluster_covariance(spec, np.array([[1, 1]]))
-        assert V[0, 1] == pytest.approx(0.7)
-        assert V[1, 0] == pytest.approx(0.7)
-        assert V[0, 0] == pytest.approx(2.0)
+        cov = build_cluster_covariance(spec, np.array([[1, 1]]))
+        np.testing.assert_allclose(
+            cov.W[0], np.linalg.inv([[2.0, 0.7], [0.7, 2.0]]), rtol=1e-15
+        )
 
-    def test_all_outputs_pass_cholesky(self):
+    def test_matches_dense_inverse_on_random_layouts(self):
         rng = np.random.default_rng(5)
-        for _ in range(20):
-            structure = rng.choice(["independent", "exchangeable", "ar1_time"])
-            spec = CovarianceSpec(
-                structure,
-                sigma2=float(rng.uniform(0.1, 3.0)),
-                tau2=float(rng.uniform(0.0, 2.0)),
-                lam=float(rng.uniform(0.0, 0.95)),
-            )
-            layout = rng.integers(1, 4, size=(3, 2))
-            for V in build_cluster_covariance(spec, layout):
-                np.linalg.cholesky(V)  # raises if not PSD
+        for T in (1, 2, 3):
+            for structure in ("independent", "exchangeable", "ar1_time"):
+                for tau2, lam in ((0.0, 0.5), (0.8, 0.0), (float(rng.uniform(0.1, 2.0)),
+                                                         float(rng.uniform(0.05, 0.95)))):
+                    spec = CovarianceSpec(
+                        structure, sigma2=float(rng.uniform(0.1, 3.0)), tau2=tau2, lam=lam
+                    )
+                    _assert_matches_dense(spec, rng.integers(1, 9, size=(4, T)))
 
     def test_non_positive_sigma2_rejected(self):
         with pytest.raises(ValueError, match="sigma2"):
@@ -377,3 +410,24 @@ class TestFgls:
         est, se = fgls_gaussian(ds, 0)
         assert est == pytest.approx(1.0, abs=0.3)
         assert 0 < se < 0.3
+
+    @pytest.mark.parametrize("baseline", [False, True], ids=["parallel", "baseline"])
+    def test_matches_dense_gls(self, baseline):
+        # unequal cells and a covariate, against GLS solved on dense V_c
+        ds = make_mixed_dataset(baseline, seed=3, covariate="continuous")
+        s2, t2 = estimate_variance_components(ds, 0, irls_fit(ds, 0))
+        spec = CovarianceSpec("exchangeable", sigma2=s2, tau2=t2)
+        X_nuis, _ = nuisance_design(ds)
+        X = np.column_stack([X_nuis, ds.treatment])
+        y = ds.outcomes[:, 0]
+        xtvx, xtvy = 0.0, 0.0
+        for c, counts in enumerate(ds.cell_counts):
+            idx = cluster_rows(ds, c)
+            V = dense_covariance(spec, counts)
+            xtvx = xtvx + X[idx].T @ np.linalg.solve(V, X[idx])
+            xtvy = xtvy + X[idx].T @ np.linalg.solve(V, y[idx])
+        inv = np.linalg.inv(xtvx)
+        est, se = fgls_gaussian(ds, 0)
+        assert t2 > 0
+        assert est == pytest.approx((inv @ xtvy)[-1], rel=1e-10)
+        assert se == pytest.approx(np.sqrt(inv[-1, -1]), rel=1e-10)

@@ -324,23 +324,27 @@ class TestRmSearch:
         assert len(b.trace) == 2 * 300 * 2  # sides x steps x outcomes
 
 
-def _ar1_covariances(ds):
+def _working_specs(ds, seed):
+    """One working covariance spec per outcome; the structures rotate with the seed.
+
+    Over three consecutive seeds every outcome (so every link) meets
+    every structure.
+    """
+    structures = ("ar1_time", "exchangeable", "independent")
     return [
-        build_cluster_covariance(
-            CovarianceSpec("ar1_time", sigma2=1.0 + 0.5 * j, tau2=0.4, lam=0.6),
-            ds.cell_counts,
-        )
+        CovarianceSpec(structures[(j + seed) % 3], sigma2=1.0 + 0.5 * j, tau2=0.4, lam=0.6)
         for j in range(ds.n_outcomes)
     ]
 
 
-def _reference_stats(ds, kind, covs, refit_at, limits, signs):
+def _reference_stats(ds, kind, specs, refit_at, limits, signs):
     """Statistics written out in plain numpy, chain by chain.
 
     Each chain refits its nuisance parameters at ``refit_at`` (least
     squares for identity links, IRLS otherwise), then evaluates the
-    residual table at its limit with per-cluster ``np.linalg.solve``
-    and exactly rounded sums (``reference_table``, ``reference_stat``).
+    residual table at its limit with the dense per-cluster covariance
+    solved by ``np.linalg.solve`` and exactly rounded sums
+    (``reference_table``, ``reference_stat``).
     """
     X, _ = nuisance_design(ds)
     D = ds.treatment.astype(float)
@@ -351,7 +355,7 @@ def _reference_stats(ds, kind, covs, refit_at, limits, signs):
             beta = np.linalg.lstsq(X, y - refit_at[m, j] * D, rcond=None)[0]
         else:
             beta = irls_fit(ds, j, delta_fixed=float(refit_at[m, j])).nuisance_coefs
-        table = reference_table(ds, j, beta, delta, covs[j] if kind == "weighted" else None)
+        table = reference_table(ds, j, beta, delta, specs[j] if kind == "weighted" else None)
         out[:, m, j] = [reference_stat(table, s) for s in signs]
     return out
 
@@ -364,24 +368,27 @@ class TestStepKernel:
         fits = [irls_fit(ds, j) for j in range(ds.n_outcomes)]
         theta = np.array([f.treatment_effect for f in fits])
         se = np.array([f.naive_se for f in fits])
-        covs = _ar1_covariances(ds) if kind == "weighted" else None
+        specs = _working_specs(ds, seed)
+        covs = None
+        if kind == "weighted":
+            covs = [build_cluster_covariance(spec, ds.cell_counts) for spec in specs]
         shape = (n_chains, ds.n_outcomes)
         refit_at = theta + rng.uniform(-3.0, 3.0, shape) * se
         limits = refit_at + rng.uniform(-0.5, 0.5, shape) * se
-        kernel = StepKernel(ds, kind, covs, n_chains)
-        return kernel, kernel.start(refit_at), refit_at, limits, covs
+        kernel = StepKernel(ds, covs, n_chains)
+        return kernel, kernel.start(refit_at), refit_at, limits, specs
 
     @pytest.mark.parametrize("kind", ["unweighted", "weighted"])
     @pytest.mark.parametrize("baseline", [False, True], ids=["parallel", "baseline"])
     def test_matches_reference_statistic(self, kind, baseline):
         for seed in range(3):
             ds = make_mixed_dataset(baseline, seed=seed)
-            kernel, state, refit_at, limits, covs = self._kernel(ds, kind, seed)
+            kernel, state, refit_at, limits, specs = self._kernel(ds, kind, seed)
             rng = np.random.default_rng(seed)
             permuted = rng.choice(8, size=4, replace=False)
             signs = sign_block(ds.design, [observed_subset(ds), permuted])
             got = kernel.evaluate(limits, state, signs.astype(float))
-            want = _reference_stats(ds, kind, covs, refit_at, limits, signs)
+            want = _reference_stats(ds, kind, specs, refit_at, limits, signs)
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("kind", ["unweighted", "weighted"])
@@ -408,7 +415,7 @@ class TestStepKernel:
             ds = make_mixed_dataset(baseline, seed=seed, covariate=covariate)
             P, C, T = len(ds.patterns.rep), ds.n_clusters, ds.n_periods
             assert C * T < P < ds.n_obs if covariate == "binary" else P == ds.n_obs
-            kernel, state, refit_at, limits, covs = self._kernel(ds, kind, seed)
+            kernel, state, refit_at, limits, specs = self._kernel(ds, kind, seed)
             observed = observed_subset(ds)
             observed_signs, complement = sign_block(
                 ds.design, [observed, np.setdiff1d(np.arange(8), observed)]
@@ -416,6 +423,6 @@ class TestStepKernel:
             for other in (observed_signs,) if baseline else (observed_signs, complement):
                 signs = np.stack([observed_signs, other])
                 got = kernel.evaluate(limits, state, signs.astype(float))
-                want = _reference_stats(ds, kind, covs, refit_at, limits, signs)
+                want = _reference_stats(ds, kind, specs, refit_at, limits, signs)
                 np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
                 assert np.array_equal(np.abs(got[1]), np.abs(got[0]))

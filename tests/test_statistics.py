@@ -5,7 +5,7 @@ import pytest
 
 from crtperm.data import OutcomeSpec, TrialDataset, validate_design
 from crtperm.errors import NumericalError
-from crtperm.glm import irls_fit, nuisance_design
+from crtperm.glm import CovarianceSpec, build_cluster_covariance, irls_fit, nuisance_design
 from crtperm.permutation import PermutationPlan, build_stat_matrix, observed_subset, sign_block
 from crtperm.statistics import StepKernel, studentize
 
@@ -32,9 +32,16 @@ def _stat(table, signs) -> float:
     return float(studentize(np.asarray(table, dtype=float), np.asarray(signs)[None])[0])
 
 
-def _tables(ds, kind="unweighted", covariances=None, delta=0.0):
-    """The kernel's (J, C, T) tables with every outcome's effect held at ``delta``."""
-    kernel = StepKernel(ds, kind, covariances, 1)
+def _tables(ds, spec=None, delta=0.0):
+    """The kernel's (J, C, T) tables with every outcome's effect held at ``delta``.
+
+    ``spec`` gives every outcome that working covariance (the weighted
+    statistic); None gives the unweighted one.
+    """
+    covariances = None
+    if spec is not None:
+        covariances = [build_cluster_covariance(spec, ds.cell_counts)] * ds.n_outcomes
+    kernel = StepKernel(ds, covariances, 1)
     at = np.full((1, ds.n_outcomes), delta)
     return kernel.tables(at, kernel.start(at))[0]
 
@@ -97,14 +104,16 @@ class TestWeightedStat:
 
     def test_matches_direct_linear_solve(self):
         ds, vals = self._two_cluster_fixture()
-        V = [np.array([[1.05, 0.05], [0.05, 1.05]]) for _ in range(2)]
+        # V = [[1.05, 0.05], [0.05, 1.05]] in both clusters
+        spec = CovarianceSpec("exchangeable", sigma2=1.0, tau2=0.05)
         signs = sign_block(ds.design, [(0,)])[0]
-        t = _stat(_tables(ds, "weighted", [V])[0], signs)
+        t = _stat(_tables(ds, spec)[0], signs)
         # oracle: intercept-only null residuals, each 2x2 system solved directly
         r = vals - vals.mean()
+        V = np.array([[1.05, 0.05], [0.05, 1.05]])
         w = []
-        for c, idx in enumerate(ds.cluster_obs_indices):
-            z = np.linalg.solve(V[c], r[idx])
+        for c in range(2):
+            z = np.linalg.solve(V, r[ds.cluster_index == c])
             sign = 1.0 if c == 0 else -1.0
             w.append(sign * z.sum())
         expected = sum(w) / np.sqrt(sum(x**2 for x in w))
@@ -112,39 +121,36 @@ class TestWeightedStat:
 
     def test_reduces_to_unweighted_for_scalar_covariance(self):
         ds, _ = self._two_cluster_fixture()
-        V = [0.7 * np.eye(2) for _ in range(2)]
+        spec = CovarianceSpec("independent", sigma2=0.7)
         signs = sign_block(ds.design, [(0,)])[0]
-        assert _stat(_tables(ds, "weighted", [V])[0], signs) == pytest.approx(
+        assert _stat(_tables(ds, spec)[0], signs) == pytest.approx(
             _stat(_tables(ds)[0], signs), abs=1e-12
         )
 
     def test_sign_flip_negates_exactly(self):
         # a log link makes the weights G = exp(-eta) differ from one
         ds, _ = self._two_cluster_fixture("poisson")
-        V = [np.array([[1.2, 0.3], [0.3, 1.2]]) for _ in range(2)]
-        table = _tables(ds, "weighted", [V])[0]
+        table = _tables(ds, CovarianceSpec("exchangeable", sigma2=0.9, tau2=0.3))[0]
         signs = sign_block(ds.design, [(0,)])[0]
         assert _stat(table, -signs) == -_stat(table, signs)
 
     def test_common_scale_invariance(self):
         ds, _ = self._two_cluster_fixture("poisson")
         signs = sign_block(ds.design, [(0,)])[0]
-        V = [np.array([[1.1, 0.2], [0.2, 1.1]]) for _ in range(2)]
-        base = _stat(_tables(ds, "weighted", [V])[0], signs)
-        scaled = _stat(_tables(ds, "weighted", [[3.7 * v for v in V]])[0], signs)
+        base = _stat(_tables(ds, CovarianceSpec("exchangeable", sigma2=0.9, tau2=0.2))[0], signs)
+        scaled = _stat(
+            _tables(ds, CovarianceSpec("exchangeable", sigma2=3.7 * 0.9, tau2=3.7 * 0.2))[0],
+            signs,
+        )
         assert scaled == pytest.approx(base, abs=1e-12)
 
-    def test_singular_covariance_names_cluster(self):
-        ds, _ = self._two_cluster_fixture()
-        V = [np.zeros((2, 2)), np.eye(2)]
-        with pytest.raises(NumericalError, match="'a'"):
-            StepKernel(ds, "weighted", [V], 1)
-
     def test_dimension_mismatch_rejected(self):
+        # a covariance built for another cell layout
         ds, _ = self._two_cluster_fixture()
-        V = [np.eye(3), np.eye(2)]
-        with pytest.raises(ValueError, match="cluster 'a' has shape"):
-            StepKernel(ds, "weighted", [V], 1)
+        spec = CovarianceSpec("exchangeable", sigma2=1.0, tau2=0.1)
+        other = build_cluster_covariance(spec, np.array([[3], [2]]))
+        with pytest.raises(ValueError, match="outcome 0 was not built for this dataset"):
+            StepKernel(ds, [other], 1)
 
 
 class TestResidualsUnderNull:
@@ -196,7 +202,7 @@ class TestStudentizationProperties:
         # G identically 1, so the two statistics coincide
         ds = make_gaussian_dataset(n_clusters=6, n_per_cluster=4, seed=13)
         signs = sign_block(ds.design, observed_subset(ds)[None])[0]
-        V = [0.9 * np.eye(4) for _ in range(6)]
-        assert _stat(_tables(ds, "weighted", [V])[0], signs) == pytest.approx(
+        spec = CovarianceSpec("independent", sigma2=0.9)
+        assert _stat(_tables(ds, spec)[0], signs) == pytest.approx(
             _stat(_tables(ds)[0], signs), abs=1e-12
         )

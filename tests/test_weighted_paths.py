@@ -1,6 +1,8 @@
 """Weighted-statistic plumbing through the matrix, search, and analysis."""
 
 import json
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -13,23 +15,23 @@ from crtperm.glm import (
     irls_fit,
 )
 from crtperm.permutation import PermutationPlan, build_stat_matrix
-from crtperm.search import rm_search
+from crtperm.search import rm_search, search_all_methods
 from crtperm.simulate import DgpSpec, StudySpec, StudyFailureError, gen_model2, run_study
 
-from conftest import make_gaussian_dataset
+from conftest import make_gaussian_dataset, make_mixed_dataset
+
+
+def _covariances(ds, spec):
+    """The same working covariance for every outcome."""
+    return [build_cluster_covariance(spec, ds.cell_counts)] * ds.n_outcomes
 
 
 def _scalar_covariances(ds, scale=0.9):
-    return [
-        [scale * np.eye(n) for n in ds.cell_counts.sum(axis=1)]
-        for _ in range(ds.n_outcomes)
-    ]
+    return _covariances(ds, CovarianceSpec("independent", sigma2=scale))
 
 
 def _exchangeable_covariances(ds, sigma2, tau2):
-    spec = CovarianceSpec("exchangeable", sigma2=sigma2, tau2=tau2)
-    mats = build_cluster_covariance(spec, ds.cell_counts)
-    return [mats for _ in range(ds.n_outcomes)]
+    return _covariances(ds, CovarianceSpec("exchangeable", sigma2=sigma2, tau2=tau2))
 
 
 class TestWeightedMatrix:
@@ -37,9 +39,7 @@ class TestWeightedMatrix:
         ds = make_gaussian_dataset(n_outcomes=2, seed=41)
         plan = PermutationPlan(n_draws=80, seed=4, enumerate_exact=False)
         unweighted = build_stat_matrix(ds, plan)
-        weighted = build_stat_matrix(
-            ds, plan, kind="weighted", covariances=_scalar_covariances(ds)
-        )
+        weighted = build_stat_matrix(ds, plan, covariances=_scalar_covariances(ds))
         assert np.allclose(weighted.values, unweighted.values, atol=1e-12)
 
     def test_balanced_exchangeable_is_proportional_to_unweighted(self):
@@ -51,8 +51,7 @@ class TestWeightedMatrix:
         plan = PermutationPlan(n_draws=80, seed=4, enumerate_exact=False)
         unweighted = build_stat_matrix(ds, plan)
         weighted = build_stat_matrix(
-            ds, plan, kind="weighted",
-            covariances=_exchangeable_covariances(ds, 1.0, 0.4),
+            ds, plan, covariances=_exchangeable_covariances(ds, 1.0, 0.4)
         )
         assert np.allclose(weighted.values, unweighted.values, atol=1e-12)
 
@@ -79,15 +78,17 @@ class TestWeightedMatrix:
         plan = PermutationPlan(n_draws=80, seed=4, enumerate_exact=False)
         unweighted = build_stat_matrix(ds, plan)
         weighted = build_stat_matrix(
-            ds, plan, kind="weighted",
-            covariances=_exchangeable_covariances(ds, 1.0, 0.4),
+            ds, plan, covariances=_exchangeable_covariances(ds, 1.0, 0.4)
         )
         assert not np.allclose(weighted.values, unweighted.values)
 
     def test_missing_covariances_rejected(self):
-        ds = make_gaussian_dataset(seed=44)
-        with pytest.raises(ValueError, match="covariances"):
-            build_stat_matrix(ds, PermutationPlan(n_draws=10, seed=0), kind="weighted")
+        ds = make_gaussian_dataset(n_outcomes=2, seed=44)
+        with pytest.raises(ValueError, match="one covariance per outcome"):
+            build_stat_matrix(
+                ds, PermutationPlan(n_draws=10, seed=0),
+                covariances=_scalar_covariances(ds)[:1],
+            )
 
 
 class TestWeightedSearch:
@@ -95,8 +96,7 @@ class TestWeightedSearch:
         ds = make_gaussian_dataset(n_outcomes=2, seed=45)
         a = rm_search(ds, "romano_wolf", Q=300, seed=6)
         b = rm_search(
-            ds, "romano_wolf", Q=300, seed=6, kind="weighted",
-            covariances=_scalar_covariances(ds),
+            ds, "romano_wolf", Q=300, seed=6, covariances=_scalar_covariances(ds),
         )
         assert np.allclose(a.lower, b.lower, atol=1e-10)
         assert np.allclose(a.upper, b.upper, atol=1e-10)
@@ -108,9 +108,32 @@ class TestWeightedSearch:
             s2, t2 = estimate_variance_components(ds, j, irls_fit(ds, j))
             spec = CovarianceSpec("exchangeable", sigma2=max(s2, 1e-6), tau2=t2)
             covs.append(build_cluster_covariance(spec, ds.cell_counts))
-        cs = rm_search(ds, "holm", Q=300, seed=7, kind="weighted", covariances=covs)
+        cs = rm_search(ds, "holm", Q=300, seed=7, covariances=covs)
         assert np.all(cs.lower < cs.point_estimates)
         assert np.all(cs.point_estimates < cs.upper)
+
+
+class TestWeightedMemory:
+    def test_peak_stays_bounded_as_rows_grow(self):
+        # 4 clusters of 1,000 rows with a continuous covariate: every row
+        # is its own pattern, so one rows x rows (or patterns x patterns)
+        # float matrix per cluster would alone take 32 MB
+        ds = make_mixed_dataset(
+            False, seed=0, n_clusters=4, covariate="continuous", cell_sizes=(1000, 1001)
+        )
+        spec = CovarianceSpec("exchangeable", sigma2=1.0, tau2=0.3)
+        tracemalloc.start()
+        try:
+            covs = _covariances(ds, spec)
+            build_stat_matrix(ds, PermutationPlan(n_draws=50, seed=1), covariances=covs)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # fallback warnings of a 4-cluster search
+                search_all_methods(ds, ["none", "romano_wolf"], Q=100, seed=2, covariances=covs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ds.n_obs == 4000
+        assert peak < 20e6, f"peak {peak / 1e6:.1f} MB"
 
 
 class TestWeightedAnalysisEndToEnd:
