@@ -30,7 +30,9 @@ must test the same hypotheses.
 ``"exchangeable"``, 1, 0, 0), which are used verbatim for the weighted
 statistic.  The block is checked when the config is read: an unknown
 key, a value of the wrong type or out of range is a
-:class:`ConfigError`.
+:class:`ConfigError`.  So is a fixed covariance with any statistic but
+``"weighted"``, because only the weighted statistic uses one;
+``{"source": "estimate"}`` is the same as leaving the block out.
 """
 
 from __future__ import annotations
@@ -144,6 +146,11 @@ class AnalysisConfig:
         self.methods = tuple(self.methods)
         if self.statistic not in STATISTIC_KINDS:
             raise ConfigError(f"unknown statistic kind: {self.statistic!r}")
+        if self.covariance is not None and self.statistic != "weighted":
+            raise ConfigError(
+                f"a fixed covariance needs statistic: weighted, got {self.statistic!r}: "
+                "only the weighted statistic uses a working covariance"
+            )
         if self.sided != "two_sided":
             raise ConfigError(
                 f"sided must be 'two_sided', got {self.sided!r}: the confidence-limit "

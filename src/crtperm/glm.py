@@ -41,11 +41,12 @@ grows with its rows, not with the squares of its cluster sizes.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
+from statistics import NormalDist  # the standard library's, not crtperm.statistics
 
 import numpy as np
-from scipy.special import expit
 
 from .data import TrialDataset
 from .errors import DataValidationError, NumericalError
@@ -57,6 +58,12 @@ SEPARATION_BOUND = 30.0
 COVARIANCE_STRUCTURES = ("independent", "exchangeable", "ar1_time")
 
 
+def logistic(eta: np.ndarray) -> np.ndarray:
+    """Inverse logit 1 / (1 + exp(-eta)); exactly 0 and 1 far in the tails."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-np.asarray(eta, dtype=float)))
+
+
 def link_inverse(eta: np.ndarray, link: str) -> np.ndarray:
     """Mean as a function of the linear predictor."""
     if link == "identity":
@@ -64,18 +71,17 @@ def link_inverse(eta: np.ndarray, link: str) -> np.ndarray:
     if link == "log":
         return np.exp(eta)
     if link == "logit":
-        return expit(eta)
+        return logistic(eta)
     raise ValueError(f"unknown link: {link!r}")
 
 
-def mean_derivative(eta: np.ndarray, link: str) -> np.ndarray:
-    """d mean / d eta."""
+def mean_derivative(mu: np.ndarray, link: str) -> np.ndarray:
+    """d mean / d eta, written in the mean ``mu = link_inverse(eta, link)``."""
     if link == "identity":
-        return np.ones_like(np.asarray(eta, dtype=float))
+        return np.ones_like(np.asarray(mu, dtype=float))
     if link == "log":
-        return np.exp(eta)
+        return mu
     if link == "logit":
-        mu = expit(eta)
         return mu * (1.0 - mu)
     raise ValueError(f"unknown link: {link!r}")
 
@@ -261,7 +267,7 @@ def irls_fit(
     n_iter = 0
     for n_iter in range(1, max_iter + 1):
         mu = link_inverse(eta, spec.link)
-        dmu = mean_derivative(eta, spec.link)
+        dmu = mean_derivative(mu, spec.link)
         var = variance_function(mu, spec.family)
         # canonical links: dmu == var, but keep the general form
         w = counts * dmu**2 / np.maximum(var, 1e-12)
@@ -300,7 +306,7 @@ def irls_fit(
     naive_se = None
     if estimate_delta:
         mu = link_inverse(eta, spec.link)
-        dmu = mean_derivative(eta, spec.link)
+        dmu = mean_derivative(mu, spec.link)
         var = variance_function(mu, spec.family)
         w = counts * dmu**2 / np.maximum(var, 1e-12)
         info = (X * w[:, None]).T @ X
@@ -483,10 +489,8 @@ def naive_wald(
     Returns one record per outcome with the estimate, standard error,
     two-sided normal-approximation p-value, and Wald interval.
     """
-    from scipy.stats import norm
-
     out = []
-    z = norm.ppf(1 - alpha / 2)
+    z = NormalDist().inv_cdf(1 - alpha / 2)
     for j, spec in enumerate(dataset.outcome_specs):
         if spec.family == "gaussian":
             est, se = fgls_gaussian(dataset, j)
@@ -494,7 +498,7 @@ def naive_wald(
             fit = irls_fit(dataset, j)
             est, se = fit.treatment_effect, fit.naive_se
         se = max(se, 1e-300)
-        p = float(2 * norm.sf(abs(est) / se))
+        p = math.erfc(abs(est) / se / math.sqrt(2))
         out.append(
             {
                 "outcome": spec.name,

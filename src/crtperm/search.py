@@ -39,9 +39,9 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
+from statistics import NormalDist  # the standard library's, not crtperm.statistics
 
 import numpy as np
-from scipy.stats import norm
 
 from .data import TrialDataset
 from .glm import CellCovariance, FittedMeanModel, irls_fit
@@ -70,8 +70,8 @@ def step_constant(alpha_star: float) -> float:
     """
     if not 0.0 < alpha_star < 0.5:
         raise ValueError(f"alpha_star must be in (0, 0.5), got {alpha_star}")
-    z = norm.ppf(1.0 - alpha_star)
-    return float(2.0 / (z * norm.pdf(z)))
+    z = NormalDist().inv_cdf(1.0 - alpha_star)
+    return 2.0 / (z * NormalDist().pdf(z))
 
 
 def alpha_star_schedule(

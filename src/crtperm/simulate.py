@@ -26,7 +26,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
-from scipy.special import expit
 
 from .config import (
     METHODS,
@@ -39,7 +38,14 @@ from .config import (
 from .corrections import adjust
 from .data import OutcomeSpec, TrialDataset, validate_design
 from .errors import ConfigError, CrtPermError, NumericalError
-from .glm import CovarianceSpec, build_cluster_covariance, estimate_variance_components, irls_fit, naive_wald
+from .glm import (
+    CovarianceSpec,
+    build_cluster_covariance,
+    estimate_variance_components,
+    irls_fit,
+    logistic,
+    naive_wald,
+)
 from .permutation import PermutationPlan, build_stat_matrix
 from .search import search_all_methods
 
@@ -276,7 +282,7 @@ def gen_model3(spec: DgpSpec, rng: np.random.Generator) -> TrialDataset:
     )
     y1 = rng.poisson(np.exp(eta[:, 0])).astype(float)
     y2 = eta[:, 1] + rng.normal(0.0, np.sqrt(spec.sigma2[1]), rows)
-    y3 = rng.binomial(1, expit(eta[:, 2])).astype(float)
+    y3 = rng.binomial(1, logistic(eta[:, 2])).astype(float)
     ds = TrialDataset(
         cluster_labels=_labels(C),
         cluster_index=cluster_index,

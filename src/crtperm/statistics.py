@@ -255,7 +255,7 @@ class StepKernel:
                 KR = np.matmul(self.K, R).reshape(F, self.M, C * T)
                 resid -= self.counts * KR[..., self.cell]
                 for i, link in enumerate(self.links):
-                    resid[i] *= 1.0 / (self.sigma2[i] * mean_derivative(eta[i], link))
+                    resid[i] *= 1.0 / (self.sigma2[i] * mean_derivative(mu[i], link))
                 sums = np.bincount(self.keys, weights=resid.ravel(), minlength=self.n_bins)
         tab[:, self.fitted] = sums.reshape((F, self.M) + self.cells).swapaxes(0, 1)
         return tab

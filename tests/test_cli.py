@@ -266,6 +266,35 @@ class TestConfigErrors:
         ])
         self._assert_config_error(code, capsys, message)
 
+    def test_analyze_rejects_fixed_covariance_when_unweighted(self, tmp_path, capsys):
+        # only the weighted statistic uses a working covariance, so a fixed
+        # one with the unweighted statistic would be silently ignored
+        data, _ = _write_data(tmp_path)
+        cfg = _analysis_config(
+            tmp_path, [{"name": "y1", "family": "gaussian"}],
+            statistic="unweighted", covariance={"source": "fixed", "tau2": 0.1},
+        )
+        code = main([
+            "analyze", "--data", str(data), "--config", str(cfg),
+            "--out", str(tmp_path / "o.json"),
+        ])
+        self._assert_config_error(
+            code, capsys, "a fixed covariance needs statistic: weighted, got 'unweighted'"
+        )
+
+    def test_analyze_accepts_estimated_covariance_when_unweighted(self, tmp_path):
+        # {"source": "estimate"} is the same as no block: the module docstring's example
+        data, _ = _write_data(tmp_path)
+        cfg = _analysis_config(
+            tmp_path, [{"name": "y1", "family": "gaussian"}],
+            methods=["none"], covariance={"source": "estimate"},
+        )
+        code = main([
+            "analyze", "--data", str(data), "--config", str(cfg),
+            "--out", str(tmp_path / "o.json"),
+        ])
+        assert code == 0
+
     def test_analyze_rejects_one_sided(self, tmp_path, capsys):
         # p-values and limits must test the same hypotheses, and the
         # confidence-limit search is two-sided

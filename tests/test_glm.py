@@ -1,7 +1,11 @@
 """Mean-model fitting, variance components, covariance construction."""
 
+import warnings
+
 import numpy as np
 import pytest
+from scipy.special import expit
+from scipy.stats import norm
 
 from crtperm.data import OutcomeSpec, TrialDataset
 from crtperm.errors import DataValidationError, NumericalError
@@ -11,6 +15,8 @@ from crtperm.glm import (
     estimate_variance_components,
     fgls_gaussian,
     irls_fit,
+    logistic,
+    naive_wald,
     nuisance_design,
 )
 
@@ -36,6 +42,18 @@ def _dataset_from_arrays(y, cluster, treatment, family="gaussian", covariates=No
 
     ds.design = validate_design(ds)
     return ds
+
+
+class TestLogistic:
+    def test_matches_scipy_expit(self):
+        eta = np.linspace(-745.0, 745.0, 200_001)
+        np.testing.assert_allclose(logistic(eta), expit(eta), rtol=1e-15, atol=0)
+
+    def test_saturates_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mu = logistic(np.array([-1000.0, 1000.0]))
+        assert mu[0] == 0.0 and mu[1] == 1.0
 
 
 class TestIrlsFit:
@@ -431,3 +449,16 @@ class TestFgls:
         assert t2 > 0
         assert est == pytest.approx((inv @ xtvy)[-1], rel=1e-10)
         assert se == pytest.approx(np.sqrt(inv[-1, -1]), rel=1e-10)
+
+
+class TestNaiveWald:
+    @pytest.mark.parametrize("alpha", [0.01, 0.05, 0.2])
+    def test_matches_scipy_normal_formulas(self, alpha):
+        # Gaussian (FGLS), Poisson and binary outcomes
+        ds = make_mixed_dataset(True, seed=5)
+        z = norm.ppf(1 - alpha / 2)
+        for rec in naive_wald(ds, alpha):
+            est, se = rec["estimate"], rec["se"]
+            assert rec["p"] == pytest.approx(2 * norm.sf(abs(est) / se), rel=1e-12)
+            assert rec["lower"] == pytest.approx(est - z * se, rel=1e-12)
+            assert rec["upper"] == pytest.approx(est + z * se, rel=1e-12)

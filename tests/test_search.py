@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.stats import norm
 
 from crtperm.errors import NumericalError
 from crtperm.glm import (
@@ -73,6 +74,16 @@ class TestStepConstant:
 
     def test_monotone_in_alpha(self):
         assert step_constant(0.025) > step_constant(0.05)
+
+    @pytest.mark.parametrize("alpha", [0.01, 0.05, 0.1])
+    def test_matches_scipy_normal_on_every_ladder_level(self, alpha):
+        for J in range(1, 11):
+            for r in range(J):
+                alpha_star = alpha / (J - r)
+                z = norm.ppf(1 - alpha_star)
+                assert step_constant(alpha_star) == pytest.approx(
+                    2 / (z * norm.pdf(z)), rel=1e-14
+                )
 
     def test_domain(self):
         for bad in (0.0, 0.5, -0.1, 0.7):
