@@ -57,12 +57,25 @@ def _require(d: dict, key: str):
     return d[key]
 
 
+def _is_number(value) -> bool:
+    """True for a JSON number; JSON's true and false are not numbers."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _number(d: dict, key: str, default: float) -> float:
     """``d[key]`` (or the default) as a float; anything but a JSON number is an error."""
     value = d.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if not _is_number(value):
         raise ConfigError(f"{key} must be a number, got {value!r}")
     return float(value)
+
+
+def _numbers(d: dict, key: str, default: tuple) -> tuple:
+    """``d[key]`` (or the default) as a tuple; it must be a list of JSON numbers."""
+    values = d.get(key, default)
+    if not isinstance(values, (list, tuple)) or not all(map(_is_number, values)):
+        raise ConfigError(f"{key} must be a list of numbers, got {values!r}")
+    return tuple(values)
 
 
 def _integer(d: dict, key: str, default: int) -> int:

@@ -86,18 +86,6 @@ def mean_derivative(mu: np.ndarray, link: str) -> np.ndarray:
     raise ValueError(f"unknown link: {link!r}")
 
 
-def variance_function(mu: np.ndarray, family: str) -> np.ndarray:
-    """Family variance function evaluated at the mean."""
-    if family == "gaussian":
-        return np.ones_like(np.asarray(mu, dtype=float))
-    if family == "poisson":
-        return np.asarray(mu, dtype=float)
-    if family == "binomial":
-        mu = np.asarray(mu, dtype=float)
-        return mu * (1.0 - mu)
-    raise ValueError(f"unknown family: {family!r}")
-
-
 @dataclass(frozen=True)
 class CovarianceSpec:
     """Working within-cluster covariance parameters.
@@ -130,32 +118,20 @@ class CovarianceSpec:
 
 @dataclass
 class FittedMeanModel:
-    """Result of an IRLS fit of one outcome's marginal mean model.
+    """Result of a fit of one outcome's marginal mean model.
 
-    ``covariate_coefs`` holds covariate and period-indicator
-    coefficients (everything except the intercept and treatment).
-    ``treatment_effect`` and ``naive_se`` are None when the treatment
-    effect was fixed (``delta_fixed`` set); the model-based standard
-    error comes from the inverse weighted information.
+    ``nuisance_coefs`` holds the intercept, covariate and period-indicator
+    coefficients.  ``treatment_effect`` and ``naive_se`` are None when
+    the treatment effect was fixed; the model-based standard error comes
+    from the inverse weighted information.  ``linear_predictor`` is per
+    row, the fixed effect's offset included.
     """
 
-    outcome_index: int
-    family: str
     link: str
-    intercept: float
-    covariate_coefs: np.ndarray
+    nuisance_coefs: np.ndarray
     treatment_effect: float | None
     naive_se: float | None
     linear_predictor: np.ndarray
-    converged: bool
-    n_iter: int
-    delta_fixed: float | None = None
-    coef_names: tuple[str, ...] = ()
-
-    @property
-    def nuisance_coefs(self) -> np.ndarray:
-        """Intercept plus covariate/period coefficients, as fitted."""
-        return np.concatenate([[self.intercept], self.covariate_coefs])
 
     @property
     def fitted_mean(self) -> np.ndarray:
@@ -197,6 +173,96 @@ def _initial_eta(y: np.ndarray, link: str) -> np.ndarray:
     return np.log(p / (1.0 - p))
 
 
+#: why a pattern-IRLS fit failed, indexed by its status (0: converged)
+FIT_FAILURES = (
+    None,
+    "IRLS diverged for outcome {name!r}: the fitted mean overflowed "
+    "(non-finite working weights)",
+    "separation in binomial fit for outcome {name!r} "
+    f"(|coefficient| > {SEPARATION_BOUND:g})",
+    "IRLS did not converge for outcome {name!r} after {max_iter} iterations",
+)
+FIT_OVERFLOW, FIT_SEPARATION, FIT_NO_CONVERGENCE = 1, 2, 3
+
+
+def fit_error(status: int, name: str, max_iter: int = IRLS_MAX_ITER) -> NumericalError:
+    """The error a failed :func:`pattern_irls` fit of outcome ``name`` raises."""
+    return NumericalError(FIT_FAILURES[status].format(name=name, max_iter=max_iter))
+
+
+def pattern_irls(
+    X: np.ndarray,
+    counts: np.ndarray,
+    ybar: np.ndarray,
+    offsets: np.ndarray,
+    link: str,
+    start: np.ndarray | None = None,
+    *,
+    tol: float = IRLS_TOL,
+    max_iter: int = IRLS_MAX_ITER,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """B log- or logit-link fits on one design, by IRLS on row patterns.
+
+    ``X`` (P, p) holds one design row per pattern, ``counts`` (P,) its
+    rows and ``ybar`` (P,) their mean outcome.  Fit b has the offset
+    ``offsets[b]`` (P,) and starts from ``start[b]``, or from g(ybar).
+    The weighted least-squares steps (weight count * dmu/deta, the links
+    being canonical) are solved in the row space of X, from one SVD per
+    call, so a rank-deficient X gets ``lstsq``'s minimum-norm
+    coefficients.  A fit stops when no coefficient moved by ``tol``,
+    whatever the others in its batch do.  Returns the coefficients
+    (B, p), X @ coef (B, P) and each fit's status, an index into
+    :data:`FIT_FAILURES` (0: converged).
+    """
+    U, s, Vt = np.linalg.svd(X, full_matrices=False)
+    rank = s > s[0] * max(X.shape) * np.finfo(float).eps
+    U, Ut, to_coef = U[:, rank], U[:, rank].T, Vt[rank].T / s[rank]
+    B = len(offsets)
+    coef = np.zeros((B, X.shape[1])) if start is None else np.array(start, dtype=float)
+    xb = np.matmul(X, coef[..., None])[..., 0]
+    eta = np.tile(_initial_eta(ybar, link), (B, 1)) if start is None else xb + offsets
+    status = np.full(B, FIT_NO_CONVERGENCE)
+    # the fits still iterating, with their offsets and iterates
+    live, off, c, e = np.arange(B), offsets, coef, eta
+    for n_iter in range(1, max_iter + 1):
+        if not live.size:
+            break
+        mu = link_inverse(e, link)
+        w = counts * mean_derivative(mu, link)
+        wz = w * (e - off) + counts * (ybar - mu)
+        # a weight or response that is not finite makes the sum not finite
+        finite = np.isfinite(wz.sum(axis=1))
+        if not finite.all():
+            status[live[~finite]] = FIT_OVERFLOW
+            live, off, c, w, wz = live[finite], off[finite], c[finite], w[finite], wz[finite]
+        a = _solve_each(np.matmul(Ut * w[:, None, :], U), np.matmul(Ut, wz[..., None]))
+        new = np.matmul(to_coef, a)[..., 0]
+        converged = (np.abs(new - c).max(axis=1) < tol) & (n_iter > 1)
+        c, xb_live = new, np.matmul(X, new[..., None])[..., 0]
+        coef[live], xb[live], e = c, xb_live, xb_live + off
+        if link == "logit":
+            separated = np.abs(c).max(axis=1) > SEPARATION_BOUND
+            status[live[separated]] = FIT_SEPARATION
+            converged &= ~separated
+        status[live[converged]] = 0
+        go = status[live] == FIT_NO_CONVERGENCE
+        if not go.all():
+            live, off, c, e = live[go], off[go], c[go], e[go]
+    return coef, xb, status
+
+
+def _solve_each(G: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Stacked solves of G a = rhs; lstsq's minimum-norm a where a G is singular."""
+    try:
+        return np.linalg.solve(G, rhs)
+    except np.linalg.LinAlgError:
+        # a zero weight (a saturated mean) can leave a direction unidentified;
+        # solve fit by fit so that no fit depends on the others in its batch
+        if len(G) == 1:
+            return np.linalg.lstsq(G[0], rhs[0], rcond=None)[0][None]
+        return np.concatenate([_solve_each(G[b:b + 1], rhs[b:b + 1]) for b in range(len(G))])
+
+
 def irls_fit(
     dataset: TrialDataset,
     outcome_index: int,
@@ -204,160 +270,80 @@ def irls_fit(
     *,
     tol: float = IRLS_TOL,
     max_iter: int = IRLS_MAX_ITER,
-    start: np.ndarray | None = None,
 ) -> FittedMeanModel:
-    """Fit the marginal mean model for one outcome by IRLS.
+    """Fit the marginal mean model for one outcome.
 
     When ``delta_fixed`` is None the treatment effect is estimated and
     its model-based standard error is returned; otherwise
     ``delta_fixed * D`` enters as a fixed offset and only the nuisance
-    parameters are estimated.  ``start`` warm-starts the iteration from
-    a coefficient vector (used by the limit search, whose consecutive
-    refits differ only slightly).
+    parameters are estimated.
 
     Gaussian outcomes are solved by least squares on the rows.  Log and
-    logit outcomes iterate on the dataset's row patterns
-    (:attr:`~crtperm.data.TrialDataset.patterns`) with the pattern row
-    counts as frequency weights, which gives the row-level MLE and
-    information; only the returned ``linear_predictor`` is per row.
+    logit outcomes are one :func:`pattern_irls` fit on the dataset's
+    row patterns (:attr:`~crtperm.data.TrialDataset.patterns`), the
+    routine the confidence-limit search refits its chains with; it
+    gives the row-level MLE and information.
 
     Raises
     ------
     NumericalError
-        On non-convergence after ``max_iter`` iterations (the error
-        carries the last iterate as ``last_model``), when a binomial
-        fit diverges (separation), or when the fitted mean overflows.
+        On non-convergence after ``max_iter`` iterations, when a
+        binomial fit diverges (separation), or when the fitted mean
+        overflows.
     """
     if not 0 <= outcome_index < dataset.n_outcomes:
         raise IndexError(f"outcome index {outcome_index} out of range")
     spec = dataset.outcome_specs[outcome_index]
-    X_nuis, names = nuisance_design(dataset)
+    X_nuis, _ = nuisance_design(dataset)
     estimate_delta = delta_fixed is None
-    if estimate_delta:
-        names = names + ("treatment",)
+    naive_se = None
 
-    if spec.family == "gaussian" and spec.link == "identity":
+    if spec.link == "identity":
         y = dataset.outcomes[:, outcome_index]
         X, offset = _with_treatment(X_nuis, dataset.treatment, delta_fixed)
-        coef, *_ = np.linalg.lstsq(X, y - offset, rcond=None)
-        eta = X @ coef + offset
-        naive_se = None
+        coef, _, rank, _ = np.linalg.lstsq(X, y - offset, rcond=None)
         if estimate_delta:
-            naive_se = _gaussian_se(X, y - offset, coef)
-        return _pack_model(
-            spec, outcome_index, coef, estimate_delta, delta_fixed,
-            naive_se, eta, converged=True, n_iter=1, names=names,
-        )
-
-    # one row per pattern, weighted by its row count: the normal
-    # equations are the row-level ones summed within each pattern
-    pat = dataset.patterns
-    counts = pat.counts
-    ybar = pat.ysum[:, outcome_index] / counts
-    X, offset = _with_treatment(X_nuis[pat.rep], dataset.treatment[pat.rep], delta_fixed)
-    p = X.shape[1]
-
-    if start is not None and len(start) == p:
-        coef = np.asarray(start, dtype=float)
+            naive_se = _gaussian_se(X, y - offset, coef, rank)
         eta = X @ coef + offset
     else:
-        coef = np.zeros(p)
-        eta = _initial_eta(ybar, spec.link)
-    converged = False
-    n_iter = 0
-    for n_iter in range(1, max_iter + 1):
-        mu = link_inverse(eta, spec.link)
-        dmu = mean_derivative(mu, spec.link)
-        var = variance_function(mu, spec.family)
-        # canonical links: dmu == var, but keep the general form
-        w = counts * dmu**2 / np.maximum(var, 1e-12)
-        z = (eta - offset) + (ybar - mu) / np.maximum(dmu, 1e-12)
-        sw = np.sqrt(w)
-        zw = z * sw
-        # a weight or response that is not finite makes the sum not finite
-        if not np.isfinite(zw.sum()):
-            raise NumericalError(
-                f"IRLS diverged for outcome {spec.name!r}: the fitted mean "
-                "overflowed (non-finite working weights)"
-            )
-        new_coef, *_ = np.linalg.lstsq(X * sw[:, None], zw, rcond=None)
-        change = float(np.max(np.abs(new_coef - coef))) if n_iter > 1 else np.inf
-        coef = new_coef
-        eta = X @ coef + offset
-        if spec.family == "binomial" and np.max(np.abs(coef)) > SEPARATION_BOUND:
-            raise NumericalError(
-                f"separation in binomial fit for outcome "
-                f"{spec.name!r} (|coefficient| > {SEPARATION_BOUND:g})"
-            )
-        if change < tol:
-            converged = True
-            break
-    if not converged:
-        err = NumericalError(
-            f"IRLS did not converge for outcome {spec.name!r} after "
-            f"{max_iter} iterations"
+        pat = dataset.patterns
+        X, offset = _with_treatment(X_nuis[pat.rep], dataset.treatment[pat.rep], delta_fixed)
+        ybar = pat.ysum[:, outcome_index] / pat.counts
+        coefs, xb, status = pattern_irls(
+            X, pat.counts, ybar, offset[None], spec.link, tol=tol, max_iter=max_iter
         )
-        err.last_model = _pack_model(
-            spec, outcome_index, coef, estimate_delta, delta_fixed,
-            None, eta[pat.of_row], converged=False, n_iter=n_iter, names=names,
-        )
-        raise err
-
-    naive_se = None
-    if estimate_delta:
-        mu = link_inverse(eta, spec.link)
-        dmu = mean_derivative(mu, spec.link)
-        var = variance_function(mu, spec.family)
-        w = counts * dmu**2 / np.maximum(var, 1e-12)
-        info = (X * w[:, None]).T @ X
-        cov = np.linalg.pinv(info)
-        naive_se = float(np.sqrt(max(cov[-1, -1], 0.0)))
-    return _pack_model(
-        spec, outcome_index, coef, estimate_delta, delta_fixed,
-        naive_se, eta[pat.of_row], converged=True, n_iter=n_iter, names=names,
+        if status[0]:
+            raise fit_error(status[0], spec.name, max_iter)
+        coef, eta = coefs[0], xb[0] + offset
+        if estimate_delta:
+            w = pat.counts * mean_derivative(link_inverse(eta, spec.link), spec.link)
+            cov = np.linalg.pinv((X * w[:, None]).T @ X)
+            naive_se = float(np.sqrt(max(cov[-1, -1], 0.0)))
+        eta = eta[pat.of_row]
+    return FittedMeanModel(
+        link=spec.link,
+        nuisance_coefs=coef[:-1] if estimate_delta else coef,
+        treatment_effect=float(coef[-1]) if estimate_delta else None,
+        naive_se=naive_se,
+        linear_predictor=eta,
     )
 
 
-def _gaussian_se(X: np.ndarray, y: np.ndarray, coef: np.ndarray) -> float:
-    n, p = X.shape
+def _gaussian_se(X: np.ndarray, y: np.ndarray, coef: np.ndarray, rank: int) -> float:
+    """The treatment's OLS standard error, on n - rank(X) degrees of freedom."""
     resid = y - X @ coef
-    dof = max(n - p, 1)
-    sigma2 = float(resid @ resid) / dof
+    sigma2 = float(resid @ resid) / max(len(y) - rank, 1)
     cov = np.linalg.pinv(X.T @ X) * sigma2
     return float(np.sqrt(max(cov[-1, -1], 0.0)))
-
-
-def _pack_model(spec, outcome_index, coef, estimate_delta, delta_fixed,
-                naive_se, eta, converged, n_iter, names) -> FittedMeanModel:
-    if estimate_delta:
-        treatment_effect = float(coef[-1])
-        nuis = np.asarray(coef[:-1], dtype=float)
-    else:
-        treatment_effect = None
-        nuis = np.asarray(coef, dtype=float)
-    return FittedMeanModel(
-        outcome_index=outcome_index,
-        family=spec.family,
-        link=spec.link,
-        intercept=float(nuis[0]),
-        covariate_coefs=nuis[1:].copy(),
-        treatment_effect=treatment_effect,
-        naive_se=naive_se,
-        linear_predictor=np.asarray(eta, dtype=float),
-        converged=converged,
-        n_iter=n_iter,
-        delta_fixed=None if estimate_delta else float(delta_fixed),
-        coef_names=tuple(names),
-    )
 
 
 def pearson_residuals(
     dataset: TrialDataset, outcome_index: int, fitted: FittedMeanModel
 ) -> np.ndarray:
-    """(y - mu) / sqrt(V(mu)) for the fitted mean."""
+    """(y - mu) / sqrt(V(mu)) for the fitted mean; V = dmu/deta under canonical links."""
     y = dataset.outcomes[:, outcome_index]
     mu = fitted.fitted_mean
-    var = variance_function(mu, fitted.family)
+    var = mean_derivative(mu, fitted.link)
     return (y - mu) / np.sqrt(np.maximum(var, 1e-12))
 
 
@@ -378,8 +364,6 @@ def estimate_variance_components(
     within-cluster information; tau2 is then reported as 0 with a
     warning and sigma2 falls back to the overall residual mean square.
     """
-    if not fitted.converged:
-        raise NumericalError("variance components require a converged fit")
     C = dataset.n_clusters
     if C < 2:
         raise DataValidationError(

@@ -161,7 +161,8 @@ def build_stat_matrix(
     """
     kernel = StepKernel(dataset, covariances, 1)
     null = np.zeros((1, dataset.n_outcomes))
-    tables = kernel.tables(null, kernel.start(null))[0]
+    kernel.start(null)
+    tables = kernel.tables(null)[0]
 
     design = dataset.design
     exact = plan.use_enumeration(design)

@@ -24,14 +24,15 @@ One step evaluates every (method, outcome) chain at once with the
 statistic kernel of :mod:`crtperm.statistics` (the kernel the
 permutation matrix uses at delta = 0): the chains' cell tables form one
 (M, J, C, T) array, signed under the observed and the drawn allocation
-and reduced over clusters.  A chain refits its nuisance parameters only
-when its limit has moved more than ``REFIT_FRACTION`` standard errors
-since its last refit.  Decision and update are one masked routine over
-the (M, J) array, :class:`StepRule`, which decides ties with the
-kernel's rule (:func:`~crtperm.statistics.beats`: a permuted
-|statistic| within ``TIE_TOL`` below the observed one is not a
-rejection), and which pulls a chain whose statistic is not finite, or
-whose refit failed, halfway toward its point estimate.
+and reduced over clusters.  The kernel owns the nuisance fits: given
+the standard errors, it refits a chain only when its limit has moved
+more than :data:`~crtperm.statistics.REFIT_FRACTION` of one since its
+last fit.  Decision and update are one masked routine over the (M, J)
+array, :class:`StepRule`, which decides ties with the kernel's rule
+(:func:`~crtperm.statistics.beats`: a permuted |statistic| within
+``TIE_TOL`` below the observed one is not a rejection), and which pulls
+a chain whose statistic is not finite (so one whose refit failed)
+halfway toward its point estimate.
 """
 
 from __future__ import annotations
@@ -47,11 +48,6 @@ from .data import TrialDataset
 from .glm import CellCovariance, FittedMeanModel, irls_fit
 from .permutation import observed_subset, sample_subsets, sign_block
 from .statistics import StepKernel, beats
-
-#: relative tolerance of the nuisance-refresh rule: refit when the
-#: candidate limit has moved more than this many standard errors since
-#: the last refit
-REFIT_FRACTION = 0.1
 
 #: fewest steps per chain the search accepts
 MIN_SEARCH_STEPS = 100
@@ -214,7 +210,6 @@ def _search_limits(
     if Q < MIN_SEARCH_STEPS:
         raise ValueError(f"the search needs at least {MIN_SEARCH_STEPS} steps")
     M = len(methods)
-    kernel = StepKernel(dataset, covariances, M)
     design = dataset.design
     J = dataset.n_outcomes
     if point_fits is None:
@@ -224,8 +219,8 @@ def _search_limits(
     # guard against degenerate fits: the step scale must stay positive
     ses = np.maximum(ses, 1e-9 * np.maximum(1.0, np.abs(theta)))
 
+    kernel = StepKernel(dataset, covariances, M, ses)
     rule = StepRule(methods, alpha, theta)
-    tol = REFIT_FRACTION * ses
     observed = observed_subset(dataset)
 
     traces: list[list] | None = [[] for _ in methods] if trace else None
@@ -239,14 +234,11 @@ def _search_limits(
         pairs = sign_block(design, subsets.reshape(2 * Q, -1)).astype(float)
         pairs = pairs.reshape((Q, 2) + kernel.cells)
         limits = np.tile(theta + sgn * 2.0 * ses, (M, 1))
-        state = kernel.start(limits)
+        kernel.start(limits)
         warned = False
         for q in range(1, Q + 1):
-            ok = kernel.refresh(state, limits, tol)
-            stats = kernel.evaluate(limits, state, pairs[q - 1])
+            stats = kernel.evaluate(limits, pairs[q - 1])
             good = np.isfinite(stats).all(axis=0)
-            if ok is not None:
-                good &= ok
             if good.all():
                 good = None
             elif not warned:

@@ -32,6 +32,7 @@ from .config import (
     PERMUTATION_METHODS,
     _integer,
     _number,
+    _numbers,
     _require,
     validate_run_settings,
 )
@@ -344,18 +345,21 @@ class StudySpec:
             raise ConfigError("study must be a JSON object")
         model = _require(d, "model")
         J = 3 if model == "model3" else 2
+        run_search = d.get("run_search", True)
+        if not isinstance(run_search, bool):
+            raise ConfigError(f"run_search must be true or false, got {run_search!r}")
         dgp = DgpSpec(
             model=model,
             clusters_per_arm=_integer(d, "clusters_per_arm", _require(d, "clusters_per_arm")),
             n_per_cluster=_integer(d, "n_per_cluster", 20),
-            delta=tuple(d.get("delta", (0.0,) * J)),
-            mu=tuple(d.get("mu", (1.0,) * J)),
-            sigma2=tuple(d.get("sigma2", (1.0,) * J)),
-            tau2=tuple(d.get("tau2", (0.05,) * J)),
+            delta=_numbers(d, "delta", (0.0,) * J),
+            mu=_numbers(d, "mu", (1.0,) * J),
+            sigma2=_numbers(d, "sigma2", (1.0,) * J),
+            tau2=_numbers(d, "tau2", (0.05,) * J),
             rho=_number(d, "rho", 0.0),
             pi=_number(d, "pi", 0.0),
             lam=_number(d, "lambda", 0.7),
-            period_effect=tuple(d.get("period_effect", (1.0,) * 3)),
+            period_effect=_numbers(d, "period_effect", (1.0,) * 3),
         )
         return cls(
             dgp=dgp,
@@ -366,7 +370,7 @@ class StudySpec:
             n_search_steps=_integer(d, "n_search_steps", 2000),
             alpha=_number(d, "alpha", 0.05),
             seed=_integer(d, "seed", 1),
-            run_search=bool(d.get("run_search", True)),
+            run_search=run_search,
         )
 
     def to_dict(self) -> dict:
@@ -574,13 +578,18 @@ def _try_replicate(args):
 
 
 def resolve_workers(requested: int | None = None) -> int:
-    """Worker count from the request, the environment, or the machine."""
-    if requested:
-        return max(1, requested)
-    env = os.environ.get("CRTPERM_THREADS")
-    if env:
+    """Worker count from the request, the environment, or the machine; at least 1."""
+    if requested is None:
+        env = os.environ.get("CRTPERM_THREADS")
+        if not env:
+            return max(1, os.cpu_count() or 1)
         try:
-            return max(1, int(env))
+            requested = int(env)
         except ValueError:
             raise ConfigError(f"CRTPERM_THREADS is not an integer: {env!r}") from None
-    return max(1, os.cpu_count() or 1)
+    if requested < 1:
+        raise ConfigError(
+            "the worker count (--threads or CRTPERM_THREADS) must be at least 1, "
+            f"got {requested}"
+        )
+    return requested

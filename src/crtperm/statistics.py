@@ -41,8 +41,9 @@ The tables come from two sources:
   total of G * V_c^{-1} (y - mu) with g_p the link-derivative weight;
   a (C, T, T) product and a second ``bincount`` give its table.  The
   cost grows with the number of patterns, not rows; so does a nuisance
-  fit (:func:`crtperm.glm.irls_fit` iterates on the same patterns),
-  apart from the fit's final gather of its per-row linear predictor.
+  fit: the stale chains of an outcome refit together in one
+  :func:`crtperm.glm.pattern_irls` call on the same patterns, and
+  nothing per row is formed.
 
 W_c = (sigma2 I + N_c Lambda)^{-1} and K_c = Lambda W_c are the (T, T)
 period maps of :class:`~crtperm.glm.CellCovariance` (N_c the cell
@@ -64,18 +65,22 @@ otherwise the permuted value counts as at least as extreme.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .data import TrialDataset
-from .errors import NumericalError
-from .glm import CellCovariance, irls_fit, link_inverse, mean_derivative, nuisance_design
+from .glm import (
+    CellCovariance, fit_error, link_inverse, mean_derivative, nuisance_design, pattern_irls,
+)
 
 #: absolute tolerance below the observed |statistic| within which a
 #: permuted one still ties; rounding moves a statistic bounded by
 #: sqrt(C) by a few 1e-16, real gaps are many orders larger
 TIE_TOL = 1e-10
+
+#: the refit rule: a chain refits its nuisance parameters when its
+#: candidate delta has moved more than this many standard errors since
+#: its last fit
+REFIT_FRACTION = 0.1
 
 
 def beats(observed, permuted):
@@ -115,15 +120,6 @@ def _check_covariances(dataset: TrialDataset, covariances) -> None:
             )
 
 
-@dataclass
-class _Nuisance:
-    """The nuisance fits of every chain: where each last refitted, and the fits."""
-
-    refit_at: np.ndarray  # (M, J) candidate delta of each chain's last refit
-    eta_base: np.ndarray  # (J_fitted, M, P) X @ beta of the fitted outcomes, per pattern
-    warm: dict = field(default_factory=dict)
-
-
 class StepKernel:
     """Every chain's statistic tables at its candidate delta, and their statistics.
 
@@ -133,9 +129,16 @@ class StepKernel:
     statistic is weighted when ``covariances`` holds one
     :class:`~crtperm.glm.CellCovariance` per outcome, built for the
     dataset's cell layout, and unweighted when it is None.
+
+    The kernel owns the chains' nuisance fits.  After :meth:`start`, a
+    chain refits when its delta has moved more than ``REFIT_FRACTION``
+    of its outcome's standard error in ``ses`` (never, without ``ses``);
+    the stale chains of a log or logit outcome refit in one
+    :func:`~crtperm.glm.pattern_irls` call, warm-started from their own
+    coefficients.
     """
 
-    def __init__(self, dataset: TrialDataset, covariances, n_methods: int):
+    def __init__(self, dataset: TrialDataset, covariances, n_methods: int, ses=None):
         design = dataset.design
         if design is None:
             raise ValueError("dataset has no validated design")
@@ -145,16 +148,18 @@ class StepKernel:
         specs = dataset.outcome_specs
         J = dataset.n_outcomes
         C, T = design.n_clusters, design.n_periods
-        self.dataset = dataset
         self.M = n_methods
         self.cells = (C, T)
+        self.tol = np.inf if ses is None else REFIT_FRACTION * np.asarray(ses, dtype=float)
         X, _ = nuisance_design(dataset)
         D = dataset.treatment.astype(float)
         self.affine_mask = np.array([spec.link == "identity" for spec in specs])
         affine = [j for j in range(J) if self.affine_mask[j]]
         self.fitted = [j for j in range(J) if not self.affine_mask[j]]
+        self.names = [specs[j].name for j in self.fitted]
         self.links = [specs[j].link for j in self.fitted]
-        self.Dp = np.empty(0)  # treatment per row pattern, when a link is fitted
+        # design and treatment per row pattern, when a link is fitted
+        self.Xp, self.Dp = X[:0], D[:0]
 
         # identity-link tables: cell totals of (y - Hy, HD, D)
         tabs = np.zeros((J, 3, C, T))
@@ -181,6 +186,7 @@ class StepKernel:
             self.Xp = X[pat.rep]
             self.Dp = D[pat.rep]
             self.ysum = pat.ysum[:, self.fitted].T[:, None, :]
+            self.ybar = self.ysum[:, 0] / pat.counts
             self.counts = pat.counts
             self.cell = pat.cell
             rows = len(self.fitted) * n_methods
@@ -190,60 +196,52 @@ class StepKernel:
                 self.K = np.stack([covariances[j].K for j in self.fitted])[:, None]
                 self.sigma2 = [covariances[j].spec.sigma2 for j in self.fitted]
 
-    def start(self, limits: np.ndarray) -> _Nuisance:
-        """Fit every chain's nuisance parameters at its starting delta."""
-        state = _Nuisance(
-            refit_at=limits.copy(),
-            eta_base=np.empty((len(self.fitted), self.M) + self.Dp.shape),
+    def start(self, limits: np.ndarray) -> None:
+        """Fit every chain at its starting delta; the first fit that fails raises its error."""
+        self.refit_at = limits.copy()
+        self.coef = np.empty((len(self.fitted), self.M, self.Xp.shape[1]))
+        self.eta_base = np.empty((len(self.fitted), self.M) + self.Dp.shape)
+        for i, j in enumerate(self.fitted):
+            status = self._fit(i, np.arange(self.M), limits[:, j], None)
+            if status.any():
+                raise fit_error(status[status > 0][0], self.names[i])
+
+    def _fit(self, i, chains, deltas, start) -> np.ndarray:
+        """Fit fitted outcome i's ``chains`` at ``deltas`` in one call; keep the good fits."""
+        coef, xb, status = pattern_irls(
+            self.Xp, self.counts, self.ybar[i], deltas[:, None] * self.Dp, self.links[i], start
         )
-        for i, j in enumerate(self.fitted):
-            for m in range(self.M):
-                self._refit(state, m, i, limits[m, j])
-        return state
+        good = status == 0
+        self.coef[i, chains[good]] = coef[good]
+        self.eta_base[i, chains[good]] = xb[good]
+        self.refit_at[chains[good], self.fitted[i]] = deltas[good]
+        return status
 
-    def _refit(self, state: _Nuisance, m: int, i: int, delta: float) -> None:
-        j = self.fitted[i]
-        beta = irls_fit(
-            self.dataset, j, delta_fixed=float(delta), start=state.warm.get((m, i))
-        ).nuisance_coefs
-        state.warm[(m, i)] = beta
-        state.eta_base[i, m] = self.Xp @ beta
-        state.refit_at[m, j] = delta
+    def tables(self, limits: np.ndarray) -> np.ndarray:
+        """Cell tables of every chain at its candidate delta, shape (M, J, C, T).
 
-    def refresh(self, state: _Nuisance, limits: np.ndarray, tol: np.ndarray):
-        """Refit the chains whose delta moved more than ``tol`` since their last refit.
-
-        Returns None when every refit succeeded, else an (M, J) mask
-        that is False where one failed.
+        Stale chains refit first; one whose refit failed keeps its last
+        fit and gets a NaN table, so its statistic is not finite.
         """
-        stale = np.abs(limits - state.refit_at) > tol
-        if not stale.any():
-            return None
+        stale = np.abs(limits - self.refit_at) > self.tol
         moved = stale & self.affine_mask
-        state.refit_at[moved] = limits[moved]
-        ok = None
-        for i, j in enumerate(self.fitted):
-            for m in np.flatnonzero(stale[:, j]):
-                try:
-                    self._refit(state, m, i, limits[m, j])
-                except NumericalError:
-                    if ok is None:
-                        ok = np.ones(limits.shape, dtype=bool)
-                    ok[m, j] = False
-        return ok
-
-    def tables(self, limits: np.ndarray, state: _Nuisance) -> np.ndarray:
-        """Cell tables of every chain at its candidate delta, shape (M, J, C, T)."""
+        self.refit_at[moved] = limits[moved]
         tab = (
-            self.R0 + state.refit_at[..., None, None] * self.HD
+            self.R0 + self.refit_at[..., None, None] * self.HD
             - limits[..., None, None] * self.Dtab
         )
         if not self.fitted:
             return tab
+        failed = np.zeros(limits.shape, dtype=bool)
+        for i, j in enumerate(self.fitted):
+            chains = np.flatnonzero(stale[:, j])
+            if chains.size:
+                status = self._fit(i, chains, limits[chains, j], self.coef[i, chains])
+                failed[chains[status > 0], j] = True
         # far-out limits overflow the mean; the statistic is then not finite
         F, C, T = len(self.fitted), *self.cells
         with np.errstate(over="ignore", invalid="ignore"):
-            eta = state.eta_base + limits[:, self.fitted].T[:, :, None] * self.Dp
+            eta = self.eta_base + limits[:, self.fitted].T[:, :, None] * self.Dp
             mu = np.empty_like(eta)
             for i, link in enumerate(self.links):
                 mu[i] = link_inverse(eta[i], link)
@@ -258,12 +256,13 @@ class StepKernel:
                     resid[i] *= 1.0 / (self.sigma2[i] * mean_derivative(mu[i], link))
                 sums = np.bincount(self.keys, weights=resid.ravel(), minlength=self.n_bins)
         tab[:, self.fitted] = sums.reshape((F, self.M) + self.cells).swapaxes(0, 1)
+        tab[failed] = np.nan
         return tab
 
-    def evaluate(self, limits: np.ndarray, state: _Nuisance, signs: np.ndarray) -> np.ndarray:
+    def evaluate(self, limits: np.ndarray, signs: np.ndarray) -> np.ndarray:
         """Observed and permuted statistics of every chain, shape (2, M, J).
 
         ``signs`` holds the (C, T) treatment signs (+1 treated, -1 not)
         of the observed and of the permuted allocation, shape (2, C, T).
         """
-        return studentize(self.tables(limits, state), signs[:, None, None])
+        return studentize(self.tables(limits), signs[:, None, None])

@@ -349,7 +349,8 @@ class TestCriterion9PropertySuites:
             )
             kernel = StepKernel(ds, None, 1)
             null = np.zeros((1, J))
-            table = kernel.tables(null, kernel.start(null))[0, 0]
+            kernel.start(null)
+            table = kernel.tables(null)[0, 0]
             signs = sign_block(ds.design, observed_subset(ds)[None])[0]
             # antisymmetry and studentization scale invariance
             t, t_flipped = studentize(table, np.stack([signs, -signs]))

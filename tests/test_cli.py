@@ -208,6 +208,15 @@ BAD_COVARIANCES = {
 STUDY_ONLY_SETTINGS = {
     "replicates_text": ({"replicates": "ten"}, "replicates must be a number"),
     "clusters_text": ({"clusters_per_arm": "four"}, "clusters_per_arm must be a number"),
+    "delta_scalar": ({"delta": 0.5}, "delta must be a list of numbers, got 0.5"),
+    "delta_text_entry": ({"delta": ["a", 0]}, "delta must be a list of numbers, got ['a', 0]"),
+    "mu_null_entry": ({"mu": [1.0, None]}, "mu must be a list of numbers, got [1.0, None]"),
+    "sigma2_bool_entry": ({"sigma2": [1.0, True]}, "sigma2 must be a list of numbers"),
+    "tau2_text": ({"tau2": "small"}, "tau2 must be a list of numbers, got 'small'"),
+    "period_effect_text_entry": ({"period_effect": [1, 1, "x"]},
+                                 "period_effect must be a list of numbers"),
+    "run_search_text": ({"run_search": "false"}, "run_search must be true or false, got 'false'"),
+    "run_search_number": ({"run_search": 0}, "run_search must be true or false, got 0"),
 }
 
 
@@ -248,6 +257,27 @@ class TestConfigErrors:
             "--seed", "-1",
         ])
         self._assert_config_error(code, capsys, "seed must be non-negative")
+
+    @pytest.mark.parametrize("threads", ["0", "-2"])
+    def test_simulate_threads_below_one(self, tmp_path, capsys, threads):
+        study = _study_file(tmp_path)
+        code = main([
+            "simulate", "--study", str(study), "--out", str(tmp_path / "o.json"),
+            "--threads", threads,
+        ])
+        self._assert_config_error(
+            code, capsys,
+            f"the worker count (--threads or CRTPERM_THREADS) must be at least 1, got {threads}",
+        )
+
+    def test_simulate_threads_env_below_one(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("CRTPERM_THREADS", "0")
+        study = _study_file(tmp_path)
+        code = main(["simulate", "--study", str(study), "--out", str(tmp_path / "o.json")])
+        self._assert_config_error(
+            code, capsys,
+            "the worker count (--threads or CRTPERM_THREADS) must be at least 1, got 0",
+        )
 
     @pytest.mark.parametrize(
         "block, message", BAD_COVARIANCES.values(), ids=BAD_COVARIANCES.keys()

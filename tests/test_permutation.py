@@ -177,15 +177,16 @@ class TestBuildStatMatrix:
         # one null fit per log/logit outcome; identity outcomes need none
         ds = make_mixed_dataset(baseline=True, seed=8)
         calls = []
-        original = stat_mod.irls_fit
+        original = stat_mod.pattern_irls
 
-        def spy(dataset, j, **kwargs):
-            calls.append((j, kwargs["delta_fixed"]))
-            return original(dataset, j, **kwargs)
+        def spy(X, counts, ybar, offsets, link, start=None, **kwargs):
+            calls.append((link, len(offsets), not offsets.any(), start))
+            return original(X, counts, ybar, offsets, link, start, **kwargs)
 
-        monkeypatch.setattr(stat_mod, "irls_fit", spy)
+        monkeypatch.setattr(stat_mod, "pattern_irls", spy)
         build_stat_matrix(ds, PermutationPlan(n_draws=60, seed=1, enumerate_exact=False))
-        assert sorted(calls) == [(1, 0.0), (2, 0.0)]
+        assert [spec.link for spec in ds.outcome_specs] == ["identity", "log", "logit"]
+        assert calls == [("log", 1, True, None), ("logit", 1, True, None)]
 
 
 class TestMcPValue:

@@ -6,6 +6,7 @@ from scipy.stats import norm
 
 from crtperm.errors import NumericalError
 from crtperm.glm import (
+    FIT_NO_CONVERGENCE,
     CovarianceSpec,
     build_cluster_covariance,
     irls_fit,
@@ -18,6 +19,7 @@ from crtperm.search import (
     step_constant,
 )
 from crtperm.permutation import observed_subset, sign_block
+import crtperm.statistics as stat_mod
 from crtperm.statistics import StepKernel
 
 from conftest import (
@@ -315,10 +317,16 @@ class TestRmSearch:
         with pytest.raises(ValueError, match="at least 100"):
             rm_search(gaussian_dataset, "none", Q=50, seed=1)
 
-    def test_batched_search_equals_individual_searches(self):
+    @pytest.mark.parametrize("kind", ["gaussian", "mixed"])
+    def test_batched_search_equals_individual_searches(self, kind):
+        # the mixed dataset's log and logit chains refit in batched IRLS
+        # calls, whose fits must not depend on the others in their batch
         from crtperm.search import search_all_methods
 
-        ds = make_gaussian_dataset(n_outcomes=2, n_clusters=8, seed=41)
+        if kind == "gaussian":
+            ds = make_gaussian_dataset(n_outcomes=2, n_clusters=8, seed=41)
+        else:
+            ds = make_mixed_dataset(baseline=True, seed=41)
         methods = ["none", "bonferroni", "holm", "romano_wolf"]
         batch = search_all_methods(ds, methods, Q=400, seed=17)
         for m in methods:
@@ -374,7 +382,7 @@ def _reference_stats(ds, kind, specs, refit_at, limits, signs):
 class TestStepKernel:
     """The search step's stacked statistics against the reference statistic."""
 
-    def _kernel(self, ds, kind, seed, n_chains=3):
+    def _kernel(self, ds, kind, seed, n_chains=3, refit=False):
         rng = np.random.default_rng(seed)
         fits = [irls_fit(ds, j) for j in range(ds.n_outcomes)]
         theta = np.array([f.treatment_effect for f in fits])
@@ -386,34 +394,66 @@ class TestStepKernel:
         shape = (n_chains, ds.n_outcomes)
         refit_at = theta + rng.uniform(-3.0, 3.0, shape) * se
         limits = refit_at + rng.uniform(-0.5, 0.5, shape) * se
-        kernel = StepKernel(ds, covs, n_chains)
-        return kernel, kernel.start(refit_at), refit_at, limits, specs
+        kernel = StepKernel(ds, covs, n_chains, se if refit else None)
+        kernel.start(refit_at)
+        return kernel, refit_at, limits, specs
 
     @pytest.mark.parametrize("kind", ["unweighted", "weighted"])
     @pytest.mark.parametrize("baseline", [False, True], ids=["parallel", "baseline"])
     def test_matches_reference_statistic(self, kind, baseline):
         for seed in range(3):
             ds = make_mixed_dataset(baseline, seed=seed)
-            kernel, state, refit_at, limits, specs = self._kernel(ds, kind, seed)
+            kernel, refit_at, limits, specs = self._kernel(ds, kind, seed)
             rng = np.random.default_rng(seed)
             permuted = rng.choice(8, size=4, replace=False)
             signs = sign_block(ds.design, [observed_subset(ds), permuted])
-            got = kernel.evaluate(limits, state, signs.astype(float))
+            got = kernel.evaluate(limits, signs.astype(float))
             want = _reference_stats(ds, kind, specs, refit_at, limits, signs)
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("kind", ["unweighted", "weighted"])
     def test_structural_ties_are_exact(self, kind):
         ds = make_mixed_dataset(baseline=False, seed=5)
-        kernel, state, _, limits, _ = self._kernel(ds, kind, 5)
+        kernel, _, limits, _ = self._kernel(ds, kind, 5)
         observed = observed_subset(ds)
         observed_signs, complement = sign_block(
             ds.design, [observed, np.setdiff1d(np.arange(8), observed)]
         )
         for other in (observed_signs, complement):
             signs = np.stack([observed_signs, other]).astype(float)
-            obs, perm = kernel.evaluate(limits, state, signs)
+            obs, perm = kernel.evaluate(limits, signs)
             assert np.array_equal(np.abs(perm), np.abs(obs))
+
+    @pytest.mark.parametrize("kind", ["unweighted", "weighted"])
+    def test_stale_chains_refit_at_their_limit(self, kind, monkeypatch):
+        # given the SEs, every chain that moved more than REFIT_FRACTION of
+        # one refits at its limit, warm-started; a chain whose refit fails
+        # keeps its last fit and gets a non-finite statistic
+        ds = make_mixed_dataset(baseline=True, seed=4)
+        kernel, refit_at, _, specs = self._kernel(ds, kind, 4, refit=True)
+        se = np.array([irls_fit(ds, j).naive_se for j in range(ds.n_outcomes)])
+        limits = refit_at + np.array([[0.5], [-0.3], [0.2]]) * se
+        signs = sign_block(ds.design, [observed_subset(ds), [0, 2, 4, 6]]).astype(float)
+        got = kernel.evaluate(limits, signs)
+        want = _reference_stats(ds, kind, specs, limits, limits, signs)
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
+
+        original = stat_mod.pattern_irls
+
+        def failing(*args):
+            coef, xb, status = original(*args)
+            status[:] = FIT_NO_CONVERGENCE
+            return coef, xb, status
+
+        monkeypatch.setattr(stat_mod, "pattern_irls", failing)
+        moved = limits.copy()
+        moved[1, 2] += se[2]
+        got = kernel.evaluate(moved, signs)
+        assert np.isnan(got[:, 1, 2]).all()
+        assert kernel.refit_at[1, 2] == limits[1, 2]
+        keep = np.ones(limits.shape, dtype=bool)
+        keep[1, 2] = False
+        np.testing.assert_array_equal(got[:, keep], kernel.evaluate(limits, signs)[:, keep])
 
     @pytest.mark.parametrize("kind", ["unweighted", "weighted"])
     @pytest.mark.parametrize("covariate", ["binary", "continuous"])
@@ -426,14 +466,14 @@ class TestStepKernel:
             ds = make_mixed_dataset(baseline, seed=seed, covariate=covariate)
             P, C, T = len(ds.patterns.rep), ds.n_clusters, ds.n_periods
             assert C * T < P < ds.n_obs if covariate == "binary" else P == ds.n_obs
-            kernel, state, refit_at, limits, specs = self._kernel(ds, kind, seed)
+            kernel, refit_at, limits, specs = self._kernel(ds, kind, seed)
             observed = observed_subset(ds)
             observed_signs, complement = sign_block(
                 ds.design, [observed, np.setdiff1d(np.arange(8), observed)]
             )
             for other in (observed_signs,) if baseline else (observed_signs, complement):
                 signs = np.stack([observed_signs, other])
-                got = kernel.evaluate(limits, state, signs.astype(float))
+                got = kernel.evaluate(limits, signs.astype(float))
                 want = _reference_stats(ds, kind, specs, refit_at, limits, signs)
                 np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
                 assert np.array_equal(np.abs(got[1]), np.abs(got[0]))

@@ -7,7 +7,10 @@ import warnings
 import numpy as np
 import pytest
 
+from crtperm.analysis import analyze
 from crtperm.cli import main
+from crtperm.config import METHODS, AnalysisConfig
+from crtperm.data import TrialDataset, validate_design
 from crtperm.glm import (
     CovarianceSpec,
     build_cluster_covariance,
@@ -188,6 +191,37 @@ class TestWeightedAnalysisEndToEnd:
         report = run_study(study)
         assert report.failures == 0
         assert report.methods["none"].coverage is not None
+
+
+class TestCollinearCovariate:
+    @pytest.mark.parametrize("statistic", ["unweighted", "weighted"])
+    def test_constant_covariate_changes_nothing(self, statistic):
+        # a covariate equal to the intercept adds no information: every
+        # fit, standard error, p-value and limit must stay as it was (to
+        # 1e-12 relative for a limit that ran far out)
+        ds = make_mixed_dataset(baseline=True, seed=12)
+        with_k = TrialDataset(
+            cluster_labels=ds.cluster_labels, cluster_index=ds.cluster_index,
+            period=ds.period, treatment=ds.treatment, outcomes=ds.outcomes,
+            outcome_specs=ds.outcome_specs, covariates=np.ones((ds.n_obs, 1)),
+            covariate_names=("k",),
+        )
+        with_k.design = validate_design(with_k)
+        config = AnalysisConfig(
+            cluster_col="cluster", treatment_col="treatment",
+            outcome_specs=ds.outcome_specs, methods=METHODS, statistic=statistic,
+            n_permutations=200, n_search_steps=200, seed=3,
+            covariance=(CovarianceSpec("ar1_time", sigma2=1.0, tau2=0.05, lam=0.7)
+                        if statistic == "weighted" else None),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            want, got = analyze(ds, config).records, analyze(with_k, config).records
+        assert len(got) == len(want) == ds.n_outcomes * len(METHODS)
+        for a, b in zip(want, got):
+            assert (a["outcome"], a["method"]) == (b["outcome"], b["method"])
+            for key in ("estimate", "p_unadjusted", "p_adjusted", "lower", "upper"):
+                assert b[key] == pytest.approx(a[key], rel=1e-12, abs=1e-12), (a, key)
 
 
 class TestPearsonDispersion:
