@@ -90,10 +90,6 @@ class DesignInfo:
     scheme: str
 
     @property
-    def n_treated(self) -> int:
-        return self.arm_sizes[1]
-
-    @property
     def treatment_start_period(self) -> int:
         """First period (1-based) in which the treated arm is treated."""
         return 2 if self.scheme == SCHEME_PARALLEL_WITH_BASELINE else 1

@@ -13,22 +13,26 @@ is what differentiates the corrections; the step-length scale is
 proportional to the current distance between the limit and the point
 estimate.
 
-Upper and lower limits run as two independent chains of Q steps each.
-Each chain draws its Q allocations up front from its own stream,
-keyed by (seed, side), with :func:`~crtperm.permutation.sample_subsets`
-and signs them once with :func:`~crtperm.permutation.sign_block`; a
-step only indexes into that block.  The draws never depend on the
-method, so all methods are searched together on identical draws.
+The upper and lower limits of M methods and J outcomes are the rows of
+one (2M, J) chain array, the upper side's M rows first, and one loop of
+Q steps moves them all.  The sides stay independent: each draws its Q
+allocations up front from its own stream, keyed by (seed, side), with
+:func:`~crtperm.permutation.sample_subsets`, signs them once with
+:func:`~crtperm.permutation.sign_block` (a step only indexes into that
+int8 block), and keeps its own nuisance fits, so its limits are those
+of a side searched alone.  The draws never depend on the method, so all
+methods are searched together on identical draws.
 
-One step evaluates every (method, outcome) chain at once with the
-statistic kernel of :mod:`crtperm.statistics` (the kernel the
-permutation matrix uses at delta = 0): the chains' cell tables form one
-(M, J, C, T) array, signed under the observed and the drawn allocation
+One step evaluates every chain at once with the statistic kernel of
+:mod:`crtperm.statistics` (the kernel the permutation matrix uses at
+delta = 0): the chains' cell tables form one (2M, J, C, T) array, each
+side's rows signed under the observed and that side's drawn allocation
 and reduced over clusters.  The kernel owns the nuisance fits: given
 the standard errors, it refits a chain only when its limit has moved
 more than :data:`~crtperm.statistics.REFIT_FRACTION` of one since its
-last fit.  Decision and update are one masked routine over the (M, J)
-array, :class:`StepRule`, which decides ties with the kernel's rule
+last fit, and the stale chains of both sides refit in one call.
+Decision and update are one masked routine over the (2M, J) array,
+:class:`StepRule`, which decides ties with the kernel's rule
 (:func:`~crtperm.statistics.beats`: a permuted |statistic| within
 ``TIE_TOL`` below the observed one is not a rejection), and which pulls
 a chain whose statistic is not finite (so one whose refit failed)
@@ -53,6 +57,9 @@ from .statistics import StepKernel, beats
 MIN_SEARCH_STEPS = 100
 
 TRACE_COLUMNS = ("side", "q", "outcome", "limit", "rejected", "s_j")
+
+#: the two sides of every interval, in the order of their chain rows and streams
+SIDES = ("upper", "lower")
 
 
 @lru_cache(maxsize=64)
@@ -123,15 +130,14 @@ class StepRule:
         )
         self.levels = _levels(stars)
         self.ladder = _levels(np.array([alpha / (J - r) for r in range(J)]))
-        eps = 1e-6 * np.maximum(1.0, np.abs(self.theta))
-        self.clamp = {1.0: self.theta + eps, -1.0: self.theta - eps}
+        self.eps = 1e-6 * np.maximum(1.0, np.abs(self.theta))
 
     def update(
         self,
         limits: np.ndarray,
         stats: np.ndarray,
         good: np.ndarray | None,
-        sgn: float,
+        sgn: float | np.ndarray,
         q: int,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Decide and move the (M, J) ``limits`` at step ``q``.
@@ -139,7 +145,8 @@ class StepRule:
         ``stats`` stacks the observed and the permuted statistics,
         shape (2, M, J); ``good`` marks the chains that take a step
         (None: all of them); ``sgn`` is +1 on the upper side and -1 on
-        the lower.  A good chain moves by -sgn * s * alpha* / q on a
+        the lower, either one value for every chain or one per row,
+        shape (M, 1).  A good chain moves by -sgn * s * alpha* / q on a
         rejection and by sgn * s * (1 - alpha*) / q otherwise, with
         s = k(alpha*) * sgn * (limit - theta); a limit that would cross
         its point estimate is clamped just outside it.  Any other chain
@@ -153,8 +160,8 @@ class StepRule:
         flags = beats(a_obs, a_perm)
         levels = self.levels
         if self.ordered:
-            order = np.argsort(-a_obs, axis=1, kind="stable")
-            rank = np.argsort(order, axis=1)
+            order = (-a_obs).argsort(axis=1, kind="stable")
+            rank = order.argsort(axis=1)
             sorted_obs, sorted_perm = a[:, self.rows, order]
             suffix = np.maximum.accumulate(sorted_perm[:, ::-1], axis=1)[:, ::-1]
             walk = np.logical_and.accumulate(beats(sorted_obs, suffix), axis=1)
@@ -164,8 +171,10 @@ class StepRule:
         # k * (limit - theta) equals sgn * s exactly: sgn is +-1
         ks = k * (limits - self.theta)
         stepped = limits + ks * np.where(flags, reject_frac, accept_frac) / q
-        crossed = stepped <= self.theta if sgn > 0 else stepped >= self.theta
-        stepped = np.where(crossed, self.clamp[sgn], stepped)
+        # negation is exact, so the upper rows compare stepped <= theta
+        # and the lower rows stepped >= theta
+        crossed = sgn * stepped <= sgn * self.theta
+        stepped = np.where(crossed, self.theta + sgn * self.eps, stepped)
         if good is not None:
             stepped = np.where(good, stepped, 0.5 * (limits + self.theta))
         return stepped, flags, sgn * ks
@@ -206,7 +215,7 @@ def _search_limits(
     point_fits,
     trace: bool,
 ) -> dict[str, ConfidenceSet]:
-    """Run the upper and lower chains for several methods on shared draws."""
+    """Step the upper and lower chains of several methods together on shared draws."""
     if Q < MIN_SEARCH_STEPS:
         raise ValueError(f"the search needs at least {MIN_SEARCH_STEPS} steps")
     M = len(methods)
@@ -219,59 +228,77 @@ def _search_limits(
     # guard against degenerate fits: the step scale must stay positive
     ses = np.maximum(ses, 1e-9 * np.maximum(1.0, np.abs(theta)))
 
-    kernel = StepKernel(dataset, covariances, M, ses)
-    rule = StepRule(methods, alpha, theta)
-    observed = observed_subset(dataset)
-
-    traces: list[list] | None = [[] for _ in methods] if trace else None
-    final = {}
-    for side, stream in (("upper", 0), ("lower", 1)):
-        sgn = 1.0 if side == "upper" else -1.0
-        drawn = sample_subsets(design, np.random.default_rng((int(seed), stream)), Q)
-        # pairs[q - 1] holds step q's observed and drawn signs, as floats
-        # because a step multiplies them into float tables
-        subsets = np.stack([np.broadcast_to(observed, drawn.shape), drawn], axis=1)
-        pairs = sign_block(design, subsets.reshape(2 * Q, -1)).astype(float)
-        pairs = pairs.reshape((Q, 2) + kernel.cells)
-        limits = np.tile(theta + sgn * 2.0 * ses, (M, 1))
-        kernel.start(limits)
-        warned = False
-        for q in range(1, Q + 1):
-            stats = kernel.evaluate(limits, pairs[q - 1])
-            good = np.isfinite(stats).all(axis=0)
-            if good.all():
-                good = None
-            elif not warned:
-                warnings.warn(
-                    f"{side} search produced a non-finite or degenerate "
-                    "statistic at an extreme candidate limit; shrinking "
-                    "toward the point estimate",
-                    stacklevel=3,
-                )
-                warned = True
-            limits, flags, s = rule.update(limits, stats, good, sgn, q)
-            if traces is not None:
-                for m in range(M):
-                    for j in range(J) if good is None else np.flatnonzero(good[m]):
-                        traces[m].append(
-                            (side, q, int(j), float(limits[m, j]),
-                             bool(flags[m, j]), float(s[m, j]))
-                        )
-        final[side] = limits
+    # rows [0, M) are the upper chains and rows [M, 2M) the lower ones
+    kernel = StepKernel(dataset, covariances, 2 * M, ses)
+    rule = StepRule(methods * 2, alpha, theta)
+    sgn = np.repeat([1.0, -1.0], M)[:, None]
+    drawn = np.stack(
+        [sample_subsets(design, np.random.default_rng((int(seed), stream)), Q)
+         for stream in range(len(SIDES))],
+        axis=1,
+    )
+    # pairs[q - 1, side] holds step q's observed and drawn signs on that side
+    subsets = np.stack([np.broadcast_to(observed_subset(dataset), drawn.shape), drawn], axis=2)
+    signs = sign_block(design, subsets.reshape(-1, drawn.shape[-1]))
+    pairs = signs.reshape(subsets.shape[:3] + kernel.cells)
+    limits = theta + sgn * 2.0 * ses
+    kernel.start(limits)
+    fell_back = np.zeros(len(SIDES), dtype=bool)
+    steps = []
+    for q in range(1, Q + 1):
+        stats = kernel.evaluate(limits, pairs[q - 1])
+        finite = np.isfinite(stats).all(axis=0)
+        good = None if finite.all() else finite
+        if good is not None:
+            fell_back |= ~good.reshape(len(SIDES), -1).all(axis=1)
+        limits, flags, s = rule.update(limits, stats, good, sgn, q)
+        if trace:
+            steps.append((limits, flags, s, finite))
+    # warned after the loop, so the upper side's warning comes first
+    # whichever side fell back first
+    for side, fell in zip(SIDES, fell_back):
+        if fell:
+            warnings.warn(
+                f"{side} search produced a non-finite or degenerate "
+                "statistic at an extreme candidate limit; shrinking "
+                "toward the point estimate",
+                stacklevel=3,
+            )
+    traces = _trace_rows(steps, M) if trace else [None] * M
 
     return {
         method: ConfidenceSet(
-            lower=final["lower"][m],
-            upper=final["upper"][m],
+            lower=limits[M + m],
+            upper=limits[m],
             alpha=alpha,
             method=method,
             Q=Q,
             seed=seed,
             point_estimates=theta,
-            trace=traces[m] if traces is not None else None,
+            trace=traces[m],
         )
         for m, method in enumerate(methods)
     }
+
+
+def _trace_rows(steps: list[tuple], M: int) -> list[list[tuple]]:
+    """Each method's trace rows: upper then lower, by step, then by outcome.
+
+    ``steps`` holds every step's (2M, J) limits, reject flags, step
+    scales and mask of the chains that took a Robbins-Monro step; a
+    chain pulled toward its point estimate instead has no row.
+    """
+    limit, rejected, s_j, good = (np.stack(a) for a in zip(*steps))
+    traces = []
+    for m in range(M):
+        rows = []
+        for i, side in enumerate(SIDES):
+            q, j = np.nonzero(good[:, i * M + m])
+            at = (q, i * M + m, j)
+            rows += zip([side] * len(q), (q + 1).tolist(), j.tolist(), limit[at].tolist(),
+                        rejected[at].tolist(), s_j[at].tolist())
+        traces.append(rows)
+    return traces
 
 
 def rm_search(
@@ -286,12 +313,14 @@ def rm_search(
 ) -> ConfidenceSet:
     """Locate simultaneous confidence limits for every outcome.
 
-    Runs two independent chains (upper and lower) of Q steps each.  At
-    every step the nuisance parameters are re-estimated only when the
-    candidate limit has drifted more than a tenth of a standard error
-    since the last refit; the test statistics themselves are
-    re-evaluated at the exact candidate value every step.  One
-    permutation draw per step is shared across outcomes.
+    Steps the upper and the lower chain of every outcome together for Q
+    steps; each side draws from its own stream and keeps its own
+    nuisance fits, so the two are independent.  At every step the
+    nuisance parameters are re-estimated only when the candidate limit
+    has drifted more than a tenth of a standard error since the last
+    refit; the test statistics themselves are re-evaluated at the exact
+    candidate value every step.  One permutation draw per side and step
+    is shared across outcomes.
 
     The statistic is weighted when ``covariances`` holds one working
     covariance per outcome, as for

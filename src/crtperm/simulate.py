@@ -505,10 +505,11 @@ def run_study(
     with a zero true effect was rejected; coverage is the fraction in
     which every interval contained its true effect; widths are averaged
     per outcome.  Replicates that fail numerically are excluded and
-    counted; the study aborts if more than 2% fail.
+    counted; the study aborts if more than 2% fail.  ``workers`` (None:
+    one) must be at least 1.
     """
     R = study.replicates
-    workers = workers or 1
+    workers = 1 if workers is None else _check_workers(workers)
     args = [(study, rep) for rep in range(R)]
     results: list[dict | None] = []
     failures: list[str] = []
@@ -587,9 +588,13 @@ def resolve_workers(requested: int | None = None) -> int:
             requested = int(env)
         except ValueError:
             raise ConfigError(f"CRTPERM_THREADS is not an integer: {env!r}") from None
-    if requested < 1:
+    return _check_workers(requested)
+
+
+def _check_workers(workers: int) -> int:
+    if workers < 1:
         raise ConfigError(
             "the worker count (--threads or CRTPERM_THREADS) must be at least 1, "
-            f"got {requested}"
+            f"got {workers}"
         )
-    return requested
+    return workers

@@ -21,7 +21,8 @@ one routine that turns treated subsets into signs.  The permutation
 matrix is the kernel at delta = 0 under every allocation
 (:func:`crtperm.permutation.build_stat_matrix`), and the
 confidence-limit search (:mod:`crtperm.search`) calls it at each step's
-candidate limits under the observed and that step's drawn allocation.
+candidate limits under the observed and that step's drawn allocation of
+each side.
 The tables come from two sources:
 
 - identity links are affine in delta: after a nuisance fit at
@@ -123,12 +124,13 @@ def _check_covariances(dataset: TrialDataset, covariances) -> None:
 class StepKernel:
     """Every chain's statistic tables at its candidate delta, and their statistics.
 
-    A chain is one (method, outcome) pair: ``n_methods`` rows of the
+    A chain is one (row, outcome) pair: ``n_rows`` rows of the
     dataset's outcomes, each with its own candidate delta and nuisance
-    fit.  The permutation matrix uses one row, at delta = 0.  The
-    statistic is weighted when ``covariances`` holds one
-    :class:`~crtperm.glm.CellCovariance` per outcome, built for the
-    dataset's cell layout, and unweighted when it is None.
+    fit.  The search's rows are its methods on the upper side, then the
+    same methods on the lower side; the permutation matrix uses one
+    row, at delta = 0.  The statistic is weighted when ``covariances``
+    holds one :class:`~crtperm.glm.CellCovariance` per outcome, built
+    for the dataset's cell layout, and unweighted when it is None.
 
     The kernel owns the chains' nuisance fits.  After :meth:`start`, a
     chain refits when its delta has moved more than ``REFIT_FRACTION``
@@ -138,7 +140,7 @@ class StepKernel:
     coefficients.
     """
 
-    def __init__(self, dataset: TrialDataset, covariances, n_methods: int, ses=None):
+    def __init__(self, dataset: TrialDataset, covariances, n_rows: int, ses=None):
         design = dataset.design
         if design is None:
             raise ValueError("dataset has no validated design")
@@ -148,7 +150,7 @@ class StepKernel:
         specs = dataset.outcome_specs
         J = dataset.n_outcomes
         C, T = design.n_clusters, design.n_periods
-        self.M = n_methods
+        self.n_rows = n_rows
         self.cells = (C, T)
         self.tol = np.inf if ses is None else REFIT_FRACTION * np.asarray(ses, dtype=float)
         X, _ = nuisance_design(dataset)
@@ -189,9 +191,9 @@ class StepKernel:
             self.ybar = self.ysum[:, 0] / pat.counts
             self.counts = pat.counts
             self.cell = pat.cell
-            rows = len(self.fitted) * n_methods
-            self.n_bins = rows * C * T
-            self.keys = (np.arange(rows)[:, None] * (C * T) + pat.cell[None, :]).ravel()
+            chains = len(self.fitted) * n_rows
+            self.n_bins = chains * C * T
+            self.keys = (np.arange(chains)[:, None] * (C * T) + pat.cell[None, :]).ravel()
             if self.weighted:
                 self.K = np.stack([covariances[j].K for j in self.fitted])[:, None]
                 self.sigma2 = [covariances[j].spec.sigma2 for j in self.fitted]
@@ -199,10 +201,10 @@ class StepKernel:
     def start(self, limits: np.ndarray) -> None:
         """Fit every chain at its starting delta; the first fit that fails raises its error."""
         self.refit_at = limits.copy()
-        self.coef = np.empty((len(self.fitted), self.M, self.Xp.shape[1]))
-        self.eta_base = np.empty((len(self.fitted), self.M) + self.Dp.shape)
+        self.coef = np.empty((len(self.fitted), self.n_rows, self.Xp.shape[1]))
+        self.eta_base = np.empty((len(self.fitted), self.n_rows) + self.Dp.shape)
         for i, j in enumerate(self.fitted):
-            status = self._fit(i, np.arange(self.M), limits[:, j], None)
+            status = self._fit(i, np.arange(self.n_rows), limits[:, j], None)
             if status.any():
                 raise fit_error(status[status > 0][0], self.names[i])
 
@@ -218,14 +220,14 @@ class StepKernel:
         return status
 
     def tables(self, limits: np.ndarray) -> np.ndarray:
-        """Cell tables of every chain at its candidate delta, shape (M, J, C, T).
+        """Cell tables of every chain at its candidate delta, shape (rows, J, C, T).
 
         Stale chains refit first; one whose refit failed keeps its last
         fit and gets a NaN table, so its statistic is not finite.
         """
         stale = np.abs(limits - self.refit_at) > self.tol
         moved = stale & self.affine_mask
-        self.refit_at[moved] = limits[moved]
+        np.copyto(self.refit_at, limits, where=moved)
         tab = (
             self.R0 + self.refit_at[..., None, None] * self.HD
             - limits[..., None, None] * self.Dtab
@@ -249,20 +251,27 @@ class StepKernel:
             sums = np.bincount(self.keys, weights=resid.ravel(), minlength=self.n_bins)
             if self.weighted:
                 # g_p (r_p - count_p [K_c R_c]_cell(p)) / sigma2, R the cells of r
-                R = sums.reshape((F, self.M, C, T, 1))
-                KR = np.matmul(self.K, R).reshape(F, self.M, C * T)
+                R = sums.reshape((F, self.n_rows, C, T, 1))
+                KR = np.matmul(self.K, R).reshape(F, self.n_rows, C * T)
                 resid -= self.counts * KR[..., self.cell]
                 for i, link in enumerate(self.links):
                     resid[i] *= 1.0 / (self.sigma2[i] * mean_derivative(mu[i], link))
                 sums = np.bincount(self.keys, weights=resid.ravel(), minlength=self.n_bins)
-        tab[:, self.fitted] = sums.reshape((F, self.M) + self.cells).swapaxes(0, 1)
+        tab[:, self.fitted] = sums.reshape((F, self.n_rows) + self.cells).swapaxes(0, 1)
         tab[failed] = np.nan
         return tab
 
     def evaluate(self, limits: np.ndarray, signs: np.ndarray) -> np.ndarray:
-        """Observed and permuted statistics of every chain, shape (2, M, J).
+        """Observed and permuted statistics of every chain, shape (2, rows, J).
 
         ``signs`` holds the (C, T) treatment signs (+1 treated, -1 not)
-        of the observed and of the permuted allocation, shape (2, C, T).
+        of an observed and a permuted allocation: one pair for every
+        row, shape (2, C, T), or one pair per block of rows, shape
+        (S, 2, C, T), pair s signing the s-th of S equal blocks (the
+        search's sides).
         """
-        return studentize(self.tables(limits), signs[:, None, None])
+        tables = self.tables(limits)
+        pairs = signs.reshape((-1, 2) + self.cells)
+        blocks = tables.reshape((len(pairs), -1) + tables.shape[1:])
+        stats = studentize(blocks, pairs.swapaxes(0, 1)[:, :, None, None])
+        return stats.reshape((2,) + limits.shape)

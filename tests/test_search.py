@@ -1,5 +1,9 @@
 """Robbins-Monro confidence-limit search."""
 
+import json
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.stats import norm
@@ -16,6 +20,7 @@ from crtperm.search import (
     StepRule,
     alpha_star_schedule,
     rm_search,
+    search_all_methods,
     step_constant,
 )
 from crtperm.permutation import observed_subset, sign_block
@@ -477,3 +482,55 @@ class TestStepKernel:
                 want = _reference_stats(ds, kind, specs, refit_at, limits, signs)
                 np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
                 assert np.array_equal(np.abs(got[1]), np.abs(got[0]))
+
+
+#: every limit, the trace's ends and the fallback warnings of three
+#: Q = 400 searches, recorded before the upper and lower chains were
+#: stepped together; see :func:`_pin_record`
+PIN_FILE = Path(__file__).resolve().parent / "data" / "search_pin.json"
+PIN_METHODS = ["none", "bonferroni", "holm", "romano_wolf"]
+
+
+def _pin_datasets():
+    gaussian = make_gaussian_dataset(n_outcomes=2, n_clusters=8, seed=41)
+    mixed = make_mixed_dataset(baseline=True, seed=41)
+    covs = [build_cluster_covariance(s, mixed.cell_counts) for s in _working_specs(mixed, 41)]
+    return {"gaussian": (gaussian, None), "mixed": (mixed, None), "mixed_weighted": (mixed, covs)}
+
+
+def _pin_record(ds, covs) -> dict:
+    """One traced search of every method, as JSON: limits in ``float.hex``."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        sets = search_all_methods(ds, PIN_METHODS, Q=400, seed=17, covariances=covs, trace=True)
+    messages = [str(w.message) for w in caught]
+    record = {
+        "warnings": {side: [m for m in messages if m.split()[0] == side]
+                     for side in ("upper", "lower")},
+        "other_warnings": [m for m in messages if m.split()[0] not in ("upper", "lower")],
+    }
+    for method, cs in sets.items():
+        ends = {}
+        for side in ("upper", "lower"):
+            rows = [r for r in cs.trace if r[0] == side]
+            ends[side] = [
+                [name, q, j, limit.hex(), rejected, s_j.hex()]
+                for name, q, j, limit, rejected, s_j in (rows[0], rows[-1])
+            ]
+        record[method] = {
+            "lower": [x.hex() for x in cs.lower],
+            "upper": [x.hex() for x in cs.upper],
+            "trace_len": len(cs.trace),
+            "trace_ends": ends,
+        }
+    return record
+
+
+@pytest.mark.parametrize("name", ["gaussian", "mixed", "mixed_weighted"])
+def test_search_is_pinned_bit_for_bit(name):
+    # identity, log and logit chains, unweighted and weighted, with the
+    # unweighted mixed trial falling back on both sides: any change to the
+    # draws, the refit rule, the tie rule, the halfway pull, the warnings
+    # or the trace shows here
+    expected = json.loads(PIN_FILE.read_text(encoding="utf-8"))[name]
+    assert _pin_record(*_pin_datasets()[name]) == expected

@@ -215,6 +215,12 @@ class TestRunStudy:
         b = run_study(self._study(), workers=2).to_dict()
         assert a == b
 
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_worker_count_below_one_is_refused(self, workers):
+        # the CLI's rule: no silent fallback to a serial run
+        with pytest.raises(ConfigError, match="must be at least 1, got"):
+            run_study(self._study(replicates=1), workers=workers)
+
     def test_search_can_be_skipped(self):
         report = run_study(self._study(run_search=False, methods=("none",)))
         assert report.methods["none"].coverage is None
