@@ -22,19 +22,15 @@ CORRECTION_METHODS = ("none", "bonferroni", "holm", "romano_wolf")
 
 @dataclass
 class AdjustedPValues:
-    """Unadjusted and adjusted p-values plus the stepdown ordering.
-
-    ``rejection_order`` lists outcome indices by decreasing magnitude of
-    the observed statistic (ties broken by original index).
-    """
+    """Unadjusted and adjusted p-values of one correction method."""
 
     method: str
     p_unadjusted: np.ndarray
     p_adjusted: np.ndarray
-    rejection_order: np.ndarray
 
 
 def _ordering(observed: np.ndarray) -> np.ndarray:
+    """Outcome indices by decreasing |observed statistic|, ties by index."""
     return np.lexsort((np.arange(len(observed)), -np.abs(observed)))
 
 
@@ -49,7 +45,6 @@ def adjust_none(matrix: StatMatrix) -> AdjustedPValues:
         method="none",
         p_unadjusted=p,
         p_adjusted=p.copy(),
-        rejection_order=_ordering(matrix.values[:, 0]),
     )
 
 
@@ -60,7 +55,6 @@ def adjust_bonferroni(matrix: StatMatrix) -> AdjustedPValues:
         method="bonferroni",
         p_unadjusted=p,
         p_adjusted=np.minimum(len(p) * p, 1.0),
-        rejection_order=_ordering(matrix.values[:, 0]),
     )
 
 
@@ -83,7 +77,6 @@ def adjust_holm(matrix: StatMatrix) -> AdjustedPValues:
         method="holm",
         p_unadjusted=p,
         p_adjusted=adjusted,
-        rejection_order=_ordering(matrix.values[:, 0]),
     )
 
 
@@ -119,7 +112,6 @@ def adjust_romano_wolf(matrix: StatMatrix) -> AdjustedPValues:
         method="romano_wolf",
         p_unadjusted=p,
         p_adjusted=adjusted,
-        rejection_order=order,
     )
 
 

@@ -23,11 +23,22 @@ int8 block), and keeps its own nuisance fits, so its limits are those
 of a side searched alone.  The draws never depend on the method, so all
 methods are searched together on identical draws.
 
+Several datasets of one cell layout and outcome links (a chunk of study
+replicates) search in the same loop: their chain arrays are stacked,
+dataset by dataset, into one array of 2M rows per dataset.  Each keeps
+its own streams, keyed by its own seed, its own point estimates and
+its own nuisance fits, so its limits are bit for bit those of its
+search alone; stacking only pays the per-step cost of the statistic and
+the update once for the whole chunk.  :mod:`crtperm.simulate` fixes its
+chunks by replicate index, never by worker, and workers take whole
+chunks, so a study report is the same for any worker count.
+
 One step evaluates every chain at once with the statistic kernel of
 :mod:`crtperm.statistics` (the kernel the permutation matrix uses at
 delta = 0): the chains' cell tables form one (2M, J, C, T) array, each
 side's rows signed under the observed and that side's drawn allocation
-and reduced over clusters.  The kernel owns the nuisance fits: given
+and reduced over clusters (with several datasets, one such array per
+dataset, stacked).  The kernel owns the nuisance fits: given
 the standard errors, it refits a chain only when its limit has moved
 more than :data:`~crtperm.statistics.REFIT_FRACTION` of one since its
 last fit, and the stale chains of both sides refit in one call.
@@ -49,6 +60,7 @@ from statistics import NormalDist  # the standard library's, not crtperm.statist
 import numpy as np
 
 from .data import TrialDataset
+from .errors import CrtPermError
 from .glm import CellCovariance, FittedMeanModel, irls_fit
 from .permutation import observed_subset, sample_subsets, sign_block
 from .statistics import StepKernel, beats
@@ -107,8 +119,10 @@ class StepRule:
     """One Robbins-Monro decision and update for every (method, outcome) chain.
 
     Row m of the (M, J) arrays belongs to ``methods[m]``; ``theta``
-    holds the J point estimates.  A chain rejects when its permuted
-    |statistic| is below the observed one and does not tie with it
+    holds the J point estimates, one set for every row or, when the
+    rows belong to several datasets, one per row, shape (M, J).  A
+    chain rejects when its permuted |statistic| is below the observed
+    one and does not tie with it
     (:func:`~crtperm.statistics.beats`); the stepdown rows
     instead walk the outcomes by decreasing observed |statistic| and
     reject while the largest permuted value among the outcomes not yet
@@ -119,7 +133,7 @@ class StepRule:
 
     def __init__(self, methods: list[str], alpha: float, theta: np.ndarray):
         self.theta = np.asarray(theta, dtype=float)
-        J = len(self.theta)
+        J = self.theta.shape[-1]
         self.rows = np.arange(len(methods))[:, None]
         self.holm = np.array([m == "holm" for m in methods])[:, None]
         self.stepdown = np.array([m == "romano_wolf" for m in methods])[:, None]
@@ -206,19 +220,101 @@ class ConfidenceSet:
 
 
 def _search_limits(
-    dataset: TrialDataset,
+    datasets: list[TrialDataset],
     methods: list[str],
     alpha: float,
     Q: int,
-    seed: int,
-    covariances,
-    point_fits,
+    seeds: list[int],
+    covariances: list,
+    point_fits: list,
     trace: bool,
-) -> dict[str, ConfidenceSet]:
-    """Step the upper and lower chains of several methods together on shared draws."""
+) -> list[dict[str, ConfidenceSet] | Exception]:
+    """Step the chains of several methods and datasets together on each dataset's draws.
+
+    Dataset b's rows are the (2M, J) chain array of a search of b
+    alone, and the arrays are stacked in order.  A dataset whose search
+    cannot start (a point or starting nuisance fit fails) gets the
+    error in place of its confidence sets, and the others search on.
+    """
     if Q < MIN_SEARCH_STEPS:
         raise ValueError(f"the search needs at least {MIN_SEARCH_STEPS} steps")
     M = len(methods)
+    found: list = [None] * len(datasets)
+    live, starts = [], []
+    for b, dataset in enumerate(datasets):
+        try:
+            starts.append(_start(dataset, M, Q, seeds[b], covariances[b], point_fits[b]))
+        except (CrtPermError, np.linalg.LinAlgError) as exc:
+            found[b] = exc
+        else:
+            live.append(b)
+    if not live:
+        return found
+    theta, kernels, starting, observed, drawn = zip(*starts)
+    del starts  # so each dataset's draws are freed once stacked below
+    B = len(live)
+    kernel = StepKernel.stack(kernels)
+    # rows [2iM, (2i + 1)M) are the upper chains of the i-th dataset that
+    # started and the next M rows its lower ones
+    rule = StepRule(methods * 2 * B, alpha, np.repeat(theta, 2 * M, axis=0))
+    sgn = np.tile(np.repeat([1.0, -1.0], M), B)[:, None]
+    # drawn[q - 1, 2i + side] holds step q's drawn signs of that side, and
+    # pairs[2i + side] its observed and (at each step, refilled) drawn signs
+    drawn = np.concatenate(drawn, axis=1)
+    observed = np.repeat(np.concatenate(observed), len(SIDES), axis=0)
+    pairs = np.stack([observed, observed], axis=1)
+    limits = np.concatenate(starting)
+    fell_back = np.zeros(B * len(SIDES), dtype=bool)
+    steps = []
+    for q in range(1, Q + 1):
+        pairs[:, 1] = drawn[q - 1]
+        stats = kernel.evaluate(limits, pairs)
+        finite = np.isfinite(stats).all(axis=0)
+        good = None if finite.all() else finite
+        if good is not None:
+            fell_back |= ~good.reshape(len(fell_back), -1).all(axis=1)
+        limits, flags, s = rule.update(limits, stats, good, sgn, q)
+        if trace:
+            steps.append((limits, flags, s, finite))
+    # warned after the loop, so each dataset's upper side warns before
+    # its lower one whichever side fell back first
+    for side, fell in zip(SIDES * B, fell_back):
+        if fell:
+            warnings.warn(
+                f"{side} search produced a non-finite or degenerate "
+                "statistic at an extreme candidate limit; shrinking "
+                "toward the point estimate",
+                stacklevel=3,
+            )
+    if trace:
+        steps = [np.stack(a) for a in zip(*steps)]
+    for i, b in enumerate(live):
+        rows = limits[2 * M * i: 2 * M * (i + 1)]
+        traces = _trace_rows(steps, M, i) if trace else [None] * M
+        found[b] = {
+            method: ConfidenceSet(
+                lower=rows[M + m],
+                upper=rows[m],
+                alpha=alpha,
+                method=method,
+                Q=Q,
+                seed=seeds[b],
+                point_estimates=theta[i],
+                trace=traces[m],
+            )
+            for m, method in enumerate(methods)
+        }
+    return found
+
+
+def _start(dataset: TrialDataset, M: int, Q: int, seed: int, covariances, point_fits):
+    """One dataset's point estimates, started kernel, starting limits and treatment signs.
+
+    The kernel's rows are the dataset's M upper chains, then its M lower
+    ones, started 2 standard errors out.  The signs are those of the
+    observed allocation, shape (1, C, T), and of the drawn ones,
+    ``drawn[q - 1, side]`` signing step q on that side.
+    """
     design = dataset.design
     J = dataset.n_outcomes
     if point_fits is None:
@@ -227,74 +323,33 @@ def _search_limits(
     ses = np.array([f.naive_se for f in point_fits], dtype=float)
     # guard against degenerate fits: the step scale must stay positive
     ses = np.maximum(ses, 1e-9 * np.maximum(1.0, np.abs(theta)))
-
-    # rows [0, M) are the upper chains and rows [M, 2M) the lower ones
     kernel = StepKernel(dataset, covariances, 2 * M, ses)
-    rule = StepRule(methods * 2, alpha, theta)
-    sgn = np.repeat([1.0, -1.0], M)[:, None]
-    drawn = np.stack(
+    subsets = np.concatenate(
         [sample_subsets(design, np.random.default_rng((int(seed), stream)), Q)
-         for stream in range(len(SIDES))],
-        axis=1,
+         for stream in range(len(SIDES))]
     )
-    # pairs[q - 1, side] holds step q's observed and drawn signs on that side
-    subsets = np.stack([np.broadcast_to(observed_subset(dataset), drawn.shape), drawn], axis=2)
-    signs = sign_block(design, subsets.reshape(-1, drawn.shape[-1]))
-    pairs = signs.reshape(subsets.shape[:3] + kernel.cells)
-    limits = theta + sgn * 2.0 * ses
+    drawn = sign_block(design, subsets).reshape((len(SIDES), Q) + kernel.cells).swapaxes(0, 1)
+    observed = sign_block(design, observed_subset(dataset)[None])
+    limits = theta + np.repeat([1.0, -1.0], M)[:, None] * 2.0 * ses
     kernel.start(limits)
-    fell_back = np.zeros(len(SIDES), dtype=bool)
-    steps = []
-    for q in range(1, Q + 1):
-        stats = kernel.evaluate(limits, pairs[q - 1])
-        finite = np.isfinite(stats).all(axis=0)
-        good = None if finite.all() else finite
-        if good is not None:
-            fell_back |= ~good.reshape(len(SIDES), -1).all(axis=1)
-        limits, flags, s = rule.update(limits, stats, good, sgn, q)
-        if trace:
-            steps.append((limits, flags, s, finite))
-    # warned after the loop, so the upper side's warning comes first
-    # whichever side fell back first
-    for side, fell in zip(SIDES, fell_back):
-        if fell:
-            warnings.warn(
-                f"{side} search produced a non-finite or degenerate "
-                "statistic at an extreme candidate limit; shrinking "
-                "toward the point estimate",
-                stacklevel=3,
-            )
-    traces = _trace_rows(steps, M) if trace else [None] * M
-
-    return {
-        method: ConfidenceSet(
-            lower=limits[M + m],
-            upper=limits[m],
-            alpha=alpha,
-            method=method,
-            Q=Q,
-            seed=seed,
-            point_estimates=theta,
-            trace=traces[m],
-        )
-        for m, method in enumerate(methods)
-    }
+    return theta, kernel, limits, observed, drawn
 
 
-def _trace_rows(steps: list[tuple], M: int) -> list[list[tuple]]:
-    """Each method's trace rows: upper then lower, by step, then by outcome.
+def _trace_rows(steps: list[np.ndarray], M: int, i: int) -> list[list[tuple]]:
+    """Each method's trace rows of the i-th searched dataset: upper then lower, by step, then by outcome.
 
-    ``steps`` holds every step's (2M, J) limits, reject flags, step
-    scales and mask of the chains that took a Robbins-Monro step; a
-    chain pulled toward its point estimate instead has no row.
+    ``steps`` holds the limits, reject flags, step scales and mask of
+    the chains that took a Robbins-Monro step, each of shape (Q, rows,
+    J); a chain pulled toward its point estimate instead has no row.
     """
-    limit, rejected, s_j, good = (np.stack(a) for a in zip(*steps))
+    limit, rejected, s_j, good = steps
     traces = []
     for m in range(M):
         rows = []
-        for i, side in enumerate(SIDES):
-            q, j = np.nonzero(good[:, i * M + m])
-            at = (q, i * M + m, j)
+        for side_index, side in enumerate(SIDES):
+            row = (2 * i + side_index) * M + m
+            q, j = np.nonzero(good[:, row])
+            at = (q, row, j)
             rows += zip([side] * len(q), (q + 1).tolist(), j.tolist(), limit[at].tolist(),
                         rejected[at].tolist(), s_j[at].tolist())
         traces.append(rows)
@@ -330,26 +385,52 @@ def rm_search(
     ``(seed, side)``, so two methods searched with the same seed see
     identical permutation sequences.
     """
-    return _search_limits(
-        dataset, [method], alpha, Q, seed, covariances, point_fits, trace
-    )[method]
+    (found,) = _search_limits(
+        [dataset], [method], alpha, Q, [seed], [covariances], [point_fits], trace
+    )
+    return _raised(found)[method]
 
 
 def search_all_methods(
-    dataset: TrialDataset,
+    dataset: TrialDataset | list[TrialDataset],
     methods: list[str],
     alpha: float = 0.05,
     Q: int = 2000,
-    seed: int = 0,
-    covariances: list[CellCovariance] | None = None,
-    point_fits: list[FittedMeanModel] | None = None,
+    seed: int | list[int] = 0,
+    covariances: list[CellCovariance] | list | None = None,
+    point_fits: list[FittedMeanModel] | list | None = None,
     trace: bool = False,
-) -> dict[str, ConfidenceSet]:
+) -> dict[str, ConfidenceSet] | list:
     """Search several methods at once on identical permutation draws.
 
     Equivalent to calling :func:`rm_search` once per method with the
     same seed, but evaluates the shared per-step statistics only once.
+
+    ``dataset`` may also be a list of datasets of one cell layout and
+    outcome links, such as a chunk of study replicates.  ``seed``,
+    ``covariances`` and ``point_fits`` then hold one entry per dataset
+    (None: every dataset's default), and one loop of Q steps moves the
+    chains of them all.  Each dataset keeps its own streams and fits,
+    so its confidence sets, which make up the returned list, are bit
+    for bit those of its search alone; a dataset whose search cannot
+    start gets the :class:`~crtperm.errors.CrtPermError` or
+    ``LinAlgError`` in their place.
     """
+    if isinstance(dataset, TrialDataset):
+        (found,) = _search_limits(
+            [dataset], list(methods), alpha, Q, [seed], [covariances], [point_fits], trace
+        )
+        return _raised(found)
+    n = len(dataset)
     return _search_limits(
-        dataset, list(methods), alpha, Q, seed, covariances, point_fits, trace
+        list(dataset), list(methods), alpha, Q, list(seed),
+        [None] * n if covariances is None else list(covariances),
+        [None] * n if point_fits is None else list(point_fits), trace,
     )
+
+
+def _raised(found):
+    """A single search's confidence sets, or the error that stopped it, raised."""
+    if isinstance(found, Exception):
+        raise found
+    return found

@@ -16,7 +16,9 @@ at the zero null for every requested method, searches confidence
 limits, and aggregates the family-wise error rate, the family-wise
 coverage, and the mean interval widths with Monte Carlo standard
 errors.  Replicates are independent with RNG streams derived from
-(seed, replicate), so reports are identical for any worker count.
+(seed, replicate).  They are searched in fixed chunks by replicate
+index, each chunk's searches stepped as one chain array, and workers
+take whole chunks, so reports are identical for any worker count.
 """
 
 from __future__ import annotations
@@ -51,6 +53,14 @@ from .permutation import PermutationPlan, build_stat_matrix
 from .search import search_all_methods
 
 MODELS = ("model1", "model2", "model3")
+
+#: replicates per chunk: a study's replicates are searched in fixed chunks
+#: by replicate index, [0, n), [n, 2n) and so on, each chunk's chains
+#: stepped as one array
+REPLICATE_CHUNK = 16
+
+#: the errors that drop a replicate from its study, counted as a failure
+_REPLICATE_ERRORS = (CrtPermError, np.linalg.LinAlgError)
 
 
 def psd_factor(covariance: np.ndarray) -> np.ndarray:
@@ -436,15 +446,18 @@ def _study_covariances(study: StudySpec, dataset, point_fits):
     return out
 
 
-def _one_replicate(args) -> dict:
-    study, rep = args
+def _prepare(study: StudySpec, rep: int, perm_methods: list[str]) -> tuple[dict, tuple | None]:
+    """One replicate's row without its limits, and what its search needs (None: no search).
+
+    The row holds each method's p-values and decisions, and the naive
+    method's intervals; the search's inputs are the dataset, its search
+    seed, covariances and point fits.
+    """
     ss = np.random.SeedSequence([study.seed, rep])
     gen_seed, perm_seed, search_seed = (int(x) for x in ss.generate_state(3, np.uint64))
     dataset = generate_dataset(study.dgp, np.random.default_rng(gen_seed))
     alpha = study.alpha
     J = dataset.n_outcomes
-
-    perm_methods = [m for m in study.methods if m in PERMUTATION_METHODS]
     rec: dict = {"rep": rep, "methods": {}}
 
     point_fits = None
@@ -459,28 +472,13 @@ def _one_replicate(args) -> dict:
             n_draws=study.n_permutations, seed=perm_seed, enumerate_exact=False
         )
         matrix = build_stat_matrix(dataset, plan, covariances=covariances)
-        search_sets = {}
-        if study.run_search:
-            search_sets = search_all_methods(
-                dataset,
-                perm_methods,
-                alpha=alpha,
-                Q=study.n_search_steps,
-                seed=search_seed,
-                covariances=covariances,
-                point_fits=point_fits,
-            )
         for m in perm_methods:
             adj = adjust(matrix, m)
-            entry = {
+            rec["methods"][m] = {
                 "p_unadjusted": adj.p_unadjusted.tolist(),
                 "p_adjusted": adj.p_adjusted.tolist(),
                 "reject": (adj.p_adjusted <= alpha).tolist(),
             }
-            if study.run_search:
-                entry["lower"] = search_sets[m].lower.tolist()
-                entry["upper"] = search_sets[m].upper.tolist()
-            rec["methods"][m] = entry
 
     if "naive" in study.methods:
         rows = naive_wald(dataset, alpha)
@@ -491,7 +489,49 @@ def _one_replicate(args) -> dict:
             "lower": [r["lower"] for r in rows],
             "upper": [r["upper"] for r in rows],
         }
-    return rec
+    if not (perm_methods and study.run_search):
+        return rec, None
+    return rec, (dataset, search_seed, covariances, point_fits)
+
+
+def _run_chunk(args) -> list[dict | str]:
+    """Every replicate of one chunk, in order: its row, or why it failed.
+
+    The replicates are generated, fitted and given their rows one at a
+    time; their searches then run as one stacked search, which fills in
+    the permutation methods' limits.  A replicate that fails at any
+    stage is dropped without touching the others' rows.
+    """
+    study, reps = args
+    perm_methods = [m for m in study.methods if m in PERMUTATION_METHODS]
+    rows: dict[int, dict | str] = {}
+    searches = []
+    for rep in reps:
+        try:
+            rows[rep], search = _prepare(study, rep, perm_methods)
+        except _REPLICATE_ERRORS as exc:
+            rows[rep] = f"replicate {rep}: {exc}"
+            continue
+        if search is not None:
+            searches.append((rep, *search))
+    if searches:
+        searched, datasets, seeds, covariances, point_fits = zip(*searches)
+        found = search_all_methods(
+            list(datasets),
+            perm_methods,
+            alpha=study.alpha,
+            Q=study.n_search_steps,
+            seed=list(seeds),
+            covariances=list(covariances),
+            point_fits=list(point_fits),
+        )
+        for rep, sets in zip(searched, found):
+            if isinstance(sets, Exception):
+                rows[rep] = f"replicate {rep}: {sets}"
+                continue
+            for m, cs in sets.items():
+                rows[rep]["methods"][m].update(lower=cs.lower.tolist(), upper=cs.upper.tolist())
+    return [rows[rep] for rep in reps]
 
 
 def run_study(
@@ -507,19 +547,29 @@ def run_study(
     per outcome.  Replicates that fail numerically are excluded and
     counted; the study aborts if more than 2% fail.  ``workers`` (None:
     one) must be at least 1.
+
+    Replicates run in fixed chunks of :data:`REPLICATE_CHUNK` by
+    replicate index, whose searches step together as one chain array;
+    workers (never more than there are chunks) take whole chunks.  Each
+    replicate keeps its own streams, derived from (seed, replicate),
+    and its own fits, so its row is the same in any chunk, and the
+    chunks do not depend on the worker count: the report is identical
+    for any number of workers.
     """
     R = study.replicates
     workers = 1 if workers is None else _check_workers(workers)
-    args = [(study, rep) for rep in range(R)]
-    results: list[dict | None] = []
-    failures: list[str] = []
+    chunks = [
+        (study, range(lo, min(lo + REPLICATE_CHUNK, R))) for lo in range(0, R, REPLICATE_CHUNK)
+    ]
+    # a worker with no chunk to run would only be forked and torn down
+    workers = min(workers, len(chunks))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunk = max(1, R // (workers * 8))
-            for rec in pool.map(_try_replicate, args, chunksize=chunk):
-                results.append(rec)
+            done = list(pool.map(_run_chunk, chunks))
     else:
-        results = [_try_replicate(a) for a in args]
+        done = [_run_chunk(c) for c in chunks]
+    results = [rec for chunk in done for rec in chunk]
+    failures: list[str] = []
     good = []
     for rec in results:
         if isinstance(rec, dict):
@@ -569,13 +619,6 @@ def run_study(
         methods=summaries,
         replicate_rows=good if keep_replicates else None,
     )
-
-
-def _try_replicate(args):
-    try:
-        return _one_replicate(args)
-    except (CrtPermError, np.linalg.LinAlgError) as exc:
-        return f"replicate {args[1]}: {exc}"
 
 
 def resolve_workers(requested: int | None = None) -> int:

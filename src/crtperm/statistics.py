@@ -66,6 +66,8 @@ otherwise the permuted value counts as at least as extreme.
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 
 from .data import TrialDataset
@@ -131,37 +133,36 @@ class StepKernel:
     row, at delta = 0.  The statistic is weighted when ``covariances``
     holds one :class:`~crtperm.glm.CellCovariance` per outcome, built
     for the dataset's cell layout, and unweighted when it is None.
+    :meth:`stack` joins the rows of started kernels of several datasets
+    of one cell layout and outcome links (a chunk of study replicates),
+    so that one call evaluates them all.
 
     The kernel owns the chains' nuisance fits.  After :meth:`start`, a
     chain refits when its delta has moved more than ``REFIT_FRACTION``
     of its outcome's standard error in ``ses`` (never, without ``ses``);
-    the stale chains of a log or logit outcome refit in one
-    :func:`~crtperm.glm.pattern_irls` call, warm-started from their own
-    coefficients.
+    the stale chains of a log or logit outcome of one dataset refit in
+    one :func:`~crtperm.glm.pattern_irls` call, warm-started from their
+    own coefficients.
     """
 
     def __init__(self, dataset: TrialDataset, covariances, n_rows: int, ses=None):
         design = dataset.design
         if design is None:
             raise ValueError("dataset has no validated design")
-        self.weighted = covariances is not None
-        if self.weighted:
+        if covariances is not None:
             _check_covariances(dataset, covariances)
         specs = dataset.outcome_specs
         J = dataset.n_outcomes
         C, T = design.n_clusters, design.n_periods
-        self.n_rows = n_rows
         self.cells = (C, T)
-        self.tol = np.inf if ses is None else REFIT_FRACTION * np.asarray(ses, dtype=float)
+        tol = np.inf if ses is None else REFIT_FRACTION * np.asarray(ses, dtype=float)
+        # per-row arrays, so that kernels of several datasets stack
+        self.tol = np.broadcast_to(tol, (n_rows, J))
         X, _ = nuisance_design(dataset)
         D = dataset.treatment.astype(float)
         self.affine_mask = np.array([spec.link == "identity" for spec in specs])
         affine = [j for j in range(J) if self.affine_mask[j]]
         self.fitted = [j for j in range(J) if not self.affine_mask[j]]
-        self.names = [specs[j].name for j in self.fitted]
-        self.links = [specs[j].link for j in self.fitted]
-        # design and treatment per row pattern, when a link is fitted
-        self.Xp, self.Dp = X[:0], D[:0]
 
         # identity-link tables: cell totals of (y - Hy, HD, D)
         tabs = np.zeros((J, 3, C, T))
@@ -178,46 +179,45 @@ class StepKernel:
             for k, j in enumerate(affine):
                 rows = (y[:, k] - HZ[:, 1 + keep.index(first[k])], HZ[:, 0], D)
                 tabs[j] = [dataset.cell_totals(v) for v in rows]
-        if self.weighted:
+        if covariances is not None:
             W = np.stack([cov.W for cov in covariances])
             tabs = np.matmul(W[:, None], tabs[..., None])[..., 0]
-        self.R0, self.HD, self.Dtab = tabs[:, 0], tabs[:, 1], tabs[:, 2]
-
+        self.R0, self.HD, self.Dtab = (
+            np.broadcast_to(tabs[:, i], (n_rows, J, C, T)) for i in range(3)
+        )
+        # (row slice, pattern tables) of each dataset: only log and logit links need them
+        self.parts = []
         if self.fitted:
-            pat = dataset.patterns
-            self.Xp = X[pat.rep]
-            self.Dp = D[pat.rep]
-            self.ysum = pat.ysum[:, self.fitted].T[:, None, :]
-            self.ybar = self.ysum[:, 0] / pat.counts
-            self.counts = pat.counts
-            self.cell = pat.cell
-            chains = len(self.fitted) * n_rows
-            self.n_bins = chains * C * T
-            self.keys = (np.arange(chains)[:, None] * (C * T) + pat.cell[None, :]).ravel()
-            if self.weighted:
-                self.K = np.stack([covariances[j].K for j in self.fitted])[:, None]
-                self.sigma2 = [covariances[j].spec.sigma2 for j in self.fitted]
+            part = _PatternTables(dataset, X, D, covariances, self.fitted, n_rows)
+            self.parts.append((slice(0, n_rows), part))
+
+    @classmethod
+    def stack(cls, kernels: list["StepKernel"]) -> "StepKernel":
+        """One kernel whose rows are the rows of the started ``kernels``, in order.
+
+        Each dataset keeps its own tables, fits and refit rule, so every
+        row's statistics are those its own kernel gives.
+        """
+        first = kernels[0]
+        for k in kernels[1:]:
+            if not (k.cells == first.cells and np.array_equal(k.affine_mask, first.affine_mask)):
+                raise ValueError("stacked kernels need one cell layout and outcome links")
+        kernel = copy.copy(first)
+        for name in ("tol", "R0", "HD", "Dtab", "refit_at"):
+            setattr(kernel, name, np.concatenate([getattr(k, name) for k in kernels]))
+        kernel.parts, offset = [], 0
+        for k in kernels:
+            kernel.parts += [
+                (slice(offset + rows.start, offset + rows.stop), part) for rows, part in k.parts
+            ]
+            offset += len(k.refit_at)
+        return kernel
 
     def start(self, limits: np.ndarray) -> None:
         """Fit every chain at its starting delta; the first fit that fails raises its error."""
         self.refit_at = limits.copy()
-        self.coef = np.empty((len(self.fitted), self.n_rows, self.Xp.shape[1]))
-        self.eta_base = np.empty((len(self.fitted), self.n_rows) + self.Dp.shape)
-        for i, j in enumerate(self.fitted):
-            status = self._fit(i, np.arange(self.n_rows), limits[:, j], None)
-            if status.any():
-                raise fit_error(status[status > 0][0], self.names[i])
-
-    def _fit(self, i, chains, deltas, start) -> np.ndarray:
-        """Fit fitted outcome i's ``chains`` at ``deltas`` in one call; keep the good fits."""
-        coef, xb, status = pattern_irls(
-            self.Xp, self.counts, self.ybar[i], deltas[:, None] * self.Dp, self.links[i], start
-        )
-        good = status == 0
-        self.coef[i, chains[good]] = coef[good]
-        self.eta_base[i, chains[good]] = xb[good]
-        self.refit_at[chains[good], self.fitted[i]] = deltas[good]
-        return status
+        for rows, part in self.parts:
+            part.start(limits[rows], self.refit_at[rows])
 
     def tables(self, limits: np.ndarray) -> np.ndarray:
         """Cell tables of every chain at its candidate delta, shape (rows, J, C, T).
@@ -232,16 +232,92 @@ class StepKernel:
             self.R0 + self.refit_at[..., None, None] * self.HD
             - limits[..., None, None] * self.Dtab
         )
-        if not self.fitted:
+        if not self.parts:
             return tab
         failed = np.zeros(limits.shape, dtype=bool)
+        for rows, part in self.parts:
+            tab[rows, self.fitted], failed[rows, self.fitted] = part.tables(
+                limits[rows], stale[rows], self.refit_at[rows]
+            )
+        tab[failed] = np.nan
+        return tab
+
+    def evaluate(self, limits: np.ndarray, signs: np.ndarray) -> np.ndarray:
+        """Observed and permuted statistics of every chain, shape (2, rows, J).
+
+        ``signs`` holds the (C, T) treatment signs (+1 treated, -1 not)
+        of an observed and a permuted allocation: one pair for every
+        row, shape (2, C, T), or one pair per block of rows, shape
+        (S, 2, C, T), pair s signing the s-th of S equal blocks (the
+        search's sides of each replicate).
+        """
+        tables = self.tables(limits)
+        pairs = signs.reshape((-1, 2) + self.cells)
+        blocks = tables.reshape((len(pairs), -1) + tables.shape[1:])
+        stats = studentize(blocks, pairs.swapaxes(0, 1)[:, :, None, None])
+        return stats.reshape((2,) + limits.shape)
+
+
+class _PatternTables:
+    """The log- and logit-link chains of one dataset: their fits and tables on its row patterns.
+
+    Outcome i of ``fitted`` is the i-th log or logit outcome; a fit of
+    row m at delta writes delta into ``refit_at[m, fitted[i]]``, the
+    refit record of the kernel's rows this dataset holds.
+    """
+
+    def __init__(self, dataset: TrialDataset, X, D, covariances, fitted, n_rows):
+        specs = dataset.outcome_specs
+        pat = dataset.patterns
+        C, T = dataset.design.n_clusters, dataset.design.n_periods
+        self.fitted = fitted
+        self.names = [specs[j].name for j in fitted]
+        self.links = [specs[j].link for j in fitted]
+        self.n_rows = n_rows
+        self.cells = (C, T)
+        self.Xp = X[pat.rep]
+        self.Dp = D[pat.rep]
+        self.ysum = pat.ysum[:, fitted].T[:, None, :]
+        self.ybar = self.ysum[:, 0] / pat.counts
+        self.counts = pat.counts
+        self.cell = pat.cell
+        chains = len(fitted) * n_rows
+        self.n_bins = chains * C * T
+        self.keys = (np.arange(chains)[:, None] * (C * T) + pat.cell[None, :]).ravel()
+        self.weighted = covariances is not None
+        if self.weighted:
+            self.K = np.stack([covariances[j].K for j in fitted])[:, None]
+            self.sigma2 = [covariances[j].spec.sigma2 for j in fitted]
+        self.coef = np.empty((len(fitted), n_rows, self.Xp.shape[1]))
+        self.eta_base = np.empty((len(fitted), n_rows) + self.Dp.shape)
+
+    def start(self, limits: np.ndarray, refit_at: np.ndarray) -> None:
+        for i, j in enumerate(self.fitted):
+            status = self._fit(i, np.arange(self.n_rows), limits[:, j], None, refit_at)
+            if status.any():
+                raise fit_error(status[status > 0][0], self.names[i])
+
+    def _fit(self, i, chains, deltas, start, refit_at) -> np.ndarray:
+        """Fit fitted outcome i's ``chains`` at ``deltas`` in one call; keep the good fits."""
+        coef, xb, status = pattern_irls(
+            self.Xp, self.counts, self.ybar[i], deltas[:, None] * self.Dp, self.links[i], start
+        )
+        good = status == 0
+        self.coef[i, chains[good]] = coef[good]
+        self.eta_base[i, chains[good]] = xb[good]
+        refit_at[chains[good], self.fitted[i]] = deltas[good]
+        return status
+
+    def tables(self, limits, stale, refit_at) -> tuple[np.ndarray, np.ndarray]:
+        """Refit the stale chains, then the tables (rows, F, C, T) and failed refits (rows, F)."""
+        F, C, T = len(self.fitted), *self.cells
+        failed = np.zeros((self.n_rows, F), dtype=bool)
         for i, j in enumerate(self.fitted):
             chains = np.flatnonzero(stale[:, j])
             if chains.size:
-                status = self._fit(i, chains, limits[chains, j], self.coef[i, chains])
-                failed[chains[status > 0], j] = True
+                status = self._fit(i, chains, limits[chains, j], self.coef[i, chains], refit_at)
+                failed[chains[status > 0], i] = True
         # far-out limits overflow the mean; the statistic is then not finite
-        F, C, T = len(self.fitted), *self.cells
         with np.errstate(over="ignore", invalid="ignore"):
             eta = self.eta_base + limits[:, self.fitted].T[:, :, None] * self.Dp
             mu = np.empty_like(eta)
@@ -257,21 +333,4 @@ class StepKernel:
                 for i, link in enumerate(self.links):
                     resid[i] *= 1.0 / (self.sigma2[i] * mean_derivative(mu[i], link))
                 sums = np.bincount(self.keys, weights=resid.ravel(), minlength=self.n_bins)
-        tab[:, self.fitted] = sums.reshape((F, self.n_rows) + self.cells).swapaxes(0, 1)
-        tab[failed] = np.nan
-        return tab
-
-    def evaluate(self, limits: np.ndarray, signs: np.ndarray) -> np.ndarray:
-        """Observed and permuted statistics of every chain, shape (2, rows, J).
-
-        ``signs`` holds the (C, T) treatment signs (+1 treated, -1 not)
-        of an observed and a permuted allocation: one pair for every
-        row, shape (2, C, T), or one pair per block of rows, shape
-        (S, 2, C, T), pair s signing the s-th of S equal blocks (the
-        search's sides).
-        """
-        tables = self.tables(limits)
-        pairs = signs.reshape((-1, 2) + self.cells)
-        blocks = tables.reshape((len(pairs), -1) + tables.shape[1:])
-        stats = studentize(blocks, pairs.swapaxes(0, 1)[:, :, None, None])
-        return stats.reshape((2,) + limits.shape)
+        return sums.reshape((F, self.n_rows) + self.cells).swapaxes(0, 1), failed

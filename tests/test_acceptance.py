@@ -368,7 +368,8 @@ class TestCriterion9PropertySuites:
             assert np.all(p_bonf >= p_holm - 1e-12)
             assert np.all(p_holm >= p_un - 1e-12)
             assert np.all(rw.p_adjusted >= p_un - 1e-12)
-            assert np.all(np.diff(rw.p_adjusted[rw.rejection_order]) >= -1e-15)
+            order = np.argsort(-np.abs(matrix.values[:, 0]), kind="stable")
+            assert np.all(np.diff(rw.p_adjusted[order]) >= -1e-15)
             for p in (p_un, p_holm, p_bonf, rw.p_adjusted):
                 assert np.all((p > 0) & (p <= 1))
             # determinism of the matrix build

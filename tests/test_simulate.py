@@ -1,14 +1,20 @@
 """Generator moment checks and study-driver behaviour."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.special import expit
 from scipy.stats import norm
 
+from crtperm import search, simulate
+from crtperm.config import METHODS
 from crtperm.errors import ConfigError, NumericalError
 from crtperm.glm import estimate_variance_components, irls_fit
 from crtperm.simulate import (
+    REPLICATE_CHUNK,
     DgpSpec,
     StudySpec,
     draw_ar1_cluster_effects,
@@ -241,3 +247,122 @@ class TestRunStudy:
         echoed = study.to_dict()
         assert echoed["model"] == "model1"
         assert echoed["lambda"] == 0.7
+
+
+#: every kept replicate row of three small studies, floats by ``repr``,
+#: recorded before study replicates were searched in chunks; see
+#: :func:`_study_pin_record`
+STUDY_PIN_FILE = Path(__file__).resolve().parent / "data" / "study_pin.json"
+
+
+def _pin_studies() -> dict:
+    """Identity-link, log-link and weighted three-link studies, small enough for the suite."""
+    small = dict(n_permutations=40, n_search_steps=120)
+    return {
+        "model1": StudySpec(
+            dgp=DgpSpec(model="model1", clusters_per_arm=4, n_per_cluster=5, rho=0.3, pi=0.3),
+            methods=METHODS, replicates=20, seed=11, **small,
+        ),
+        "model2": StudySpec(
+            dgp=DgpSpec(model="model2", clusters_per_arm=4, n_per_cluster=5),
+            methods=("none", "holm", "romano_wolf"), replicates=18,
+            seed=12, **small,
+        ),
+        "model3_weighted": StudySpec(
+            dgp=DgpSpec(model="model3", clusters_per_arm=4, n_per_cluster=8,
+                        delta=(0.0, 0.2, 0.0), mu=(-1.0,) * 3, sigma2=(1.0,) * 3,
+                        tau2=(0.05,) * 3),
+            methods=("bonferroni", "romano_wolf"), statistic="weighted",
+            replicates=6, seed=13, **small,
+        ),
+    }
+
+
+def _by_repr(value):
+    """``value`` with every float replaced by its ``repr``, so JSON keeps it bit for bit."""
+    if isinstance(value, float):
+        return repr(value)
+    if isinstance(value, dict):
+        return {k: _by_repr(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_by_repr(v) for v in value]
+    return value
+
+
+def _study_pin_record(study: StudySpec) -> dict:
+    report = run_study(study, keep_replicates=True)
+    return {"failures": report.failures, "rows": _by_repr(report.replicate_rows)}
+
+
+class TestStudyChunks:
+    """Replicates are searched in fixed chunks by replicate index."""
+
+    @pytest.mark.parametrize("name", ["model1", "model2", "model3_weighted"])
+    def test_rows_are_pinned_bit_for_bit(self, name):
+        expected = json.loads(STUDY_PIN_FILE.read_text(encoding="utf-8"))[name]
+        assert _study_pin_record(_pin_studies()[name]) == expected
+
+    def _study(self, replicates):
+        return StudySpec(
+            dgp=DgpSpec(model="model1", clusters_per_arm=4, n_per_cluster=5),
+            methods=("naive", "none", "romano_wolf"),
+            replicates=replicates, n_permutations=40, n_search_steps=120, seed=7,
+        )
+
+    def test_report_is_the_same_for_any_worker_count_across_chunks(self):
+        study = self._study(REPLICATE_CHUNK + 3)
+        reports = [run_study(study, workers=w, keep_replicates=True) for w in (1, 2, 3)]
+        for report in reports[1:]:
+            assert report.to_dict() == reports[0].to_dict()
+            assert report.replicate_rows == reports[0].replicate_rows
+
+    def test_pool_never_exceeds_the_chunk_count(self, monkeypatch):
+        # records the worker count the study asks for and runs in-process,
+        # so no process is started
+        asked = []
+
+        class Recorder:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(simulate, "ProcessPoolExecutor", Recorder)
+        two_chunks = run_study(self._study(REPLICATE_CHUNK + 3), workers=64)
+        one_chunk = run_study(self._study(4), workers=64)
+        assert asked == [2]
+        assert two_chunks.replicates == REPLICATE_CHUNK + 3 and one_chunk.replicates == 4
+
+    @pytest.mark.parametrize("stage", ["generation", "search start"])
+    def test_failed_replicate_leaves_the_rest_of_its_chunk_alone(self, stage, monkeypatch):
+        # 50 replicates, so one failure stays within the study's 2%; the
+        # failing one sits in the middle of the second chunk
+        study = self._study(50)
+        bad = REPLICATE_CHUNK + 4
+        want = run_study(study, keep_replicates=True).replicate_rows
+        generated = []
+        generate, sample = simulate.generate_dataset, search.sample_subsets
+
+        def generating(*args):
+            generated.append(generate(*args))
+            if len(generated) == bad + 1 and stage == "generation":
+                raise NumericalError("injected")
+            return generated[-1]
+
+        def sampling(design, *args):
+            if stage == "search start" and len(generated) > bad and design is generated[bad].design:
+                raise NumericalError("injected")
+            return sample(design, *args)
+
+        monkeypatch.setattr(simulate, "generate_dataset", generating)
+        monkeypatch.setattr(search, "sample_subsets", sampling)
+        report = run_study(study, keep_replicates=True)
+        assert (report.replicates, report.failures) == (49, 1)
+        assert report.replicate_rows == [row for row in want if row["rep"] != bad]
