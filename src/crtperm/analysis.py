@@ -110,7 +110,9 @@ def analyze(
                 trace_rows.extend((m,) + row for row in searches[m].trace)
     t_search = time.perf_counter()
 
-    naive_rows = naive_wald(dataset, config.alpha) if "naive" in config.methods else None
+    naive_rows = None
+    if "naive" in config.methods:
+        naive_rows = naive_wald(dataset, config.alpha, point_fits)
 
     records = []
     for j, spec in enumerate(dataset.outcome_specs):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-from .permutation import StatMatrix, row_p_value
+from .permutation import StatMatrix
 from .statistics import beats
 
 CORRECTION_METHODS = ("none", "bonferroni", "holm", "romano_wolf")
@@ -35,7 +35,8 @@ def _ordering(observed: np.ndarray) -> np.ndarray:
 
 
 def _unadjusted(matrix: StatMatrix) -> np.ndarray:
-    return np.array([row_p_value(matrix, j) for j in range(matrix.n_outcomes)])
+    """The matrix's row p-values, computed once per matrix; each method gets its own copy."""
+    return matrix.p_values.copy()
 
 
 def adjust_none(matrix: StatMatrix) -> AdjustedPValues:

@@ -433,11 +433,12 @@ def build_cluster_covariance(spec: CovarianceSpec, layout: np.ndarray) -> CellCo
 
 
 def fgls_gaussian(
-    dataset: TrialDataset, outcome_index: int
+    dataset: TrialDataset, outcome_index: int, ols: FittedMeanModel | None = None
 ) -> tuple[float, float]:
     """Feasible GLS estimate and standard error of the treatment effect.
 
-    Fits by ordinary least squares, moment-estimates the variance
+    Fits by ordinary least squares (or takes ``ols``, that fit made
+    already by :func:`irls_fit`), moment-estimates the variance
     components, and solves the GLS normal equations under the
     exchangeable working covariance, whose quadratic forms need only
     the design's and the outcome's cell totals:
@@ -447,7 +448,8 @@ def fgls_gaussian(
     variance estimates, which is exactly the behaviour the permutation
     methods are meant to fix.
     """
-    ols = irls_fit(dataset, outcome_index)
+    if ols is None:
+        ols = irls_fit(dataset, outcome_index)
     sigma2, tau2 = estimate_variance_components(dataset, outcome_index, ols)
     spec = CovarianceSpec("exchangeable", sigma2=max(sigma2, 1e-12), tau2=tau2)
     cov = build_cluster_covariance(spec, dataset.cell_counts)
@@ -464,22 +466,26 @@ def fgls_gaussian(
 
 
 def naive_wald(
-    dataset: TrialDataset, alpha: float = 0.05
+    dataset: TrialDataset,
+    alpha: float = 0.05,
+    fits: list[FittedMeanModel] | None = None,
 ) -> list[dict]:
     """Uncorrected model-based inference for every outcome.
 
     Gaussian outcomes use feasible GLS with the exchangeable working
     covariance; other families use the IRLS model-based standard error.
-    Returns one record per outcome with the estimate, standard error,
-    two-sided normal-approximation p-value, and Wald interval.
+    ``fits`` are the outcomes' point fits (``irls_fit(dataset, j)``)
+    when the caller has them; otherwise they are fitted here.  Returns
+    one record per outcome with the estimate, standard error, two-sided
+    normal-approximation p-value, and Wald interval.
     """
     out = []
     z = NormalDist().inv_cdf(1 - alpha / 2)
     for j, spec in enumerate(dataset.outcome_specs):
+        fit = fits[j] if fits is not None else irls_fit(dataset, j)
         if spec.family == "gaussian":
-            est, se = fgls_gaussian(dataset, j)
+            est, se = fgls_gaussian(dataset, j, fit)
         else:
-            fit = irls_fit(dataset, j)
             est, se = fit.treatment_effect, fit.naive_se
         se = max(se, 1e-300)
         p = math.erfc(abs(est) / se / math.sqrt(2))

@@ -16,7 +16,12 @@ come from three sources:
 
 A sampled matrix draws from one stream per matrix, keyed by
 (``plan.seed``, ``MATRIX_STREAM``), so it is reproducible bit for bit
-however the work around it is scheduled.
+however the work around it is scheduled.  The stream contract of every
+draw block is that of n successive ``rng.permutation(C)`` calls: row i
+is the i-th of those shuffles, and the generator ends in the same
+state.  :func:`sample_subsets` makes all n shuffles in one
+``rng.permuted`` call, which numpy performs row by row with the same
+Fisher-Yates draws.
 
 When the allocation space is small (at most ``ENUMERATION_LIMIT``
 subsets) the full space is enumerated instead of sampled and p-values
@@ -33,6 +38,7 @@ Tests are two-sided: they compare absolute statistics.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from math import comb
 
@@ -83,7 +89,9 @@ class StatMatrix:
     a column share one allocation draw, which is what the stepdown
     adjustment needs to capture the joint permutation distribution.
     ``exact`` marks matrices whose columns enumerate the entire
-    allocation space.
+    allocation space.  ``p_values`` holds every row's unadjusted
+    p-value (:func:`row_p_value`), computed once on first use and
+    read-only.
     """
 
     values: np.ndarray
@@ -96,6 +104,12 @@ class StatMatrix:
     @property
     def n_permutations(self) -> int:
         return self.values.shape[1] - 1
+
+    @cached_property
+    def p_values(self) -> np.ndarray:
+        p = np.array([row_p_value(self, j) for j in range(self.n_outcomes)])
+        p.flags.writeable = False
+        return p
 
 
 def n_allocations(design: DesignInfo) -> int:
@@ -129,16 +143,21 @@ def enumerate_subsets(design: DesignInfo) -> np.ndarray:
 
 
 def sample_subsets(design: DesignInfo, rng: np.random.Generator, n: int) -> np.ndarray:
-    """n uniform treated subsets, shape (n, k): ``rng.permutation(C)[:k]`` each."""
+    """n uniform treated subsets, shape (n, k), drawn by one shuffle call.
+
+    Row i is ``rng.permutation(C)[:k]`` of the i-th of n successive
+    calls, bit for bit, and ``rng`` ends in the state those calls would
+    leave: ``rng.permuted`` shuffles each row of an (n, C) block of
+    ``arange(C)`` in turn with the same draws.
+    """
     k, C = design.arm_sizes[1], design.n_clusters
     if k == 0 or k == C:
         raise NumericalError(
             f"cannot permute a design with an empty arm (arm sizes {design.arm_sizes})"
         )
-    subsets = np.empty((n, k), dtype=np.intp)
-    for i in range(n):
-        subsets[i] = rng.permutation(C)[:k]
-    return subsets
+    rows = np.tile(np.arange(C), (n, 1))
+    rng.permuted(rows, axis=1, out=rows)
+    return rows[:, :k]
 
 
 def build_stat_matrix(

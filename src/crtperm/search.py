@@ -17,7 +17,9 @@ The upper and lower limits of M methods and J outcomes are the rows of
 one (2M, J) chain array, the upper side's M rows first, and one loop of
 Q steps moves them all.  The sides stay independent: each draws its Q
 allocations up front from its own stream, keyed by (seed, side), with
-:func:`~crtperm.permutation.sample_subsets`, signs them once with
+:func:`~crtperm.permutation.sample_subsets` (its q-th draw is the shuffle that
+the q-th of Q successive ``rng.permutation(C)`` calls on that stream
+would give), signs them once with
 :func:`~crtperm.permutation.sign_block` (a step only indexes into that
 int8 block), and keeps its own nuisance fits, so its limits are those
 of a side searched alone.  The draws never depend on the method, so all

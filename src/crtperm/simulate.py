@@ -481,7 +481,7 @@ def _prepare(study: StudySpec, rep: int, perm_methods: list[str]) -> tuple[dict,
             }
 
     if "naive" in study.methods:
-        rows = naive_wald(dataset, alpha)
+        rows = naive_wald(dataset, alpha, point_fits)
         rec["methods"]["naive"] = {
             "p_unadjusted": [r["p"] for r in rows],
             "p_adjusted": [r["p"] for r in rows],

@@ -317,8 +317,9 @@ class _PatternTables:
             if chains.size:
                 status = self._fit(i, chains, limits[chains, j], self.coef[i, chains], refit_at)
                 failed[chains[status > 0], i] = True
-        # far-out limits overflow the mean; the statistic is then not finite
-        with np.errstate(over="ignore", invalid="ignore"):
+        # far-out limits overflow the mean or drive its derivative to 0; the
+        # statistic is then not finite
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             eta = self.eta_base + limits[:, self.fitted].T[:, :, None] * self.Dp
             mu = np.empty_like(eta)
             for i, link in enumerate(self.links):

@@ -121,6 +121,26 @@ class TestRomanoWolf:
             assert np.all(np.diff(ordered) >= -1e-15)
 
 
+class TestUnadjusted:
+    def test_one_computation_and_independent_copies(self):
+        rng = np.random.default_rng(4)
+        m = _matrix(rng.normal(size=3), rng.normal(size=(3, 99)))
+        cached = m.p_values
+        want = np.array([mc_p_value(row) for row in m.values])
+        assert np.array_equal(cached, want)
+        results = [adjust(m, method) for method in
+                   ("none", "bonferroni", "holm", "romano_wolf")]
+        for r in results:
+            assert np.array_equal(r.p_unadjusted, want)
+        results[0].p_unadjusted[:] = -1.0
+        for r in results[1:]:
+            assert np.array_equal(r.p_unadjusted, want)
+        assert m.p_values is cached
+        assert np.array_equal(m.p_values, want)
+        with pytest.raises(ValueError):
+            cached[0] = 0.0
+
+
 class TestDominance:
     @settings(max_examples=60, deadline=None)
     @given(

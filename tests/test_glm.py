@@ -445,6 +445,13 @@ class TestFgls:
 
 
 class TestNaiveWald:
+    def test_reusing_point_fits_changes_nothing(self):
+        # gaussian (FGLS from the OLS fit), Poisson and binary outcomes
+        for baseline in (False, True):
+            ds = make_mixed_dataset(baseline, seed=7, covariate="binary")
+            fits = [irls_fit(ds, j) for j in range(ds.n_outcomes)]
+            assert naive_wald(ds, 0.05, fits) == naive_wald(ds, 0.05)
+
     @pytest.mark.parametrize("alpha", [0.01, 0.05, 0.2])
     def test_matches_scipy_normal_formulas(self, alpha):
         # Gaussian (FGLS), Poisson and binary outcomes

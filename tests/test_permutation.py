@@ -119,6 +119,23 @@ class TestSampleAllocation:
         assert np.all(signs[:, :, 0] == -1)
         assert np.all(np.sum(signs[:, :, 1] == 1, axis=1) == 3)
 
+    @pytest.mark.parametrize("C, k, n", [
+        (2, 1, 5), (14, 7, 1000), (14, 1, 50), (14, 13, 50), (14, 7, 0),
+        (40, 20, 30), (127, 63, 8), (200, 1, 6), (200, 100, 7), (200, 199, 5),
+    ])
+    def test_same_draws_and_state_as_one_permutation_per_draw(self, C, k, n):
+        # the stream contract: row i is the i-th of n successive
+        # rng.permutation(C) calls, and the generator ends where they leave it
+        ds = make_gaussian_dataset(n_clusters=4, n_per_cluster=2, n_treated=2)
+        design = replace(ds.design, n_clusters=C, arm_sizes=(C - k, k))
+        for key in [(0, 0), (11, MATRIX_STREAM), (2**63 + 5, 1)]:
+            rng, ref = np.random.default_rng(key), np.random.default_rng(key)
+            subsets = sample_subsets(design, rng, n)
+            want = np.array([ref.permutation(C)[:k] for _ in range(n)], dtype=np.intp)
+            assert subsets.shape == (n, k)
+            assert np.array_equal(subsets, want.reshape(n, k))
+            assert rng.bit_generator.state == ref.bit_generator.state
+
 
 class TestBuildStatMatrix:
     def test_zero_draws_gives_observed_only(self):
