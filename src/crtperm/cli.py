@@ -35,6 +35,13 @@ EXIT_NUMERICAL = 4
 EXIT_STUDY_FAILURES = 5
 
 
+def _unreadable(exc: OSError | UnicodeDecodeError) -> str:
+    """Why a file could not be read or written, without the traceback."""
+    if isinstance(exc, UnicodeDecodeError):
+        return f"not valid UTF-8 ({exc.reason})"
+    return exc.strerror or str(exc)
+
+
 def _read_json(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
@@ -43,10 +50,20 @@ def _read_json(path: str) -> dict:
         raise ConfigError(f"file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON in {path}: {exc}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {path}: {_unreadable(exc)}") from None
+
+
+def _open_output(path: str, **kwargs):
+    """Open an output file for writing; a path that cannot be written is a config error."""
+    try:
+        return open(path, "w", encoding="utf-8", **kwargs)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {_unreadable(exc)}") from None
 
 
 def _write_json(path: str, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with _open_output(path) as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
 
@@ -58,10 +75,12 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     except FileNotFoundError:
         print(f"error: data file not found: {args.data}", file=sys.stderr)
         return EXIT_DATA
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataValidationError(f"cannot read {args.data}: {_unreadable(exc)}") from None
     result = analyze(dataset, config, collect_trace=bool(args.trace))
     _write_json(args.out, result.to_dict())
     if args.trace:
-        with open(args.trace, "w", newline="", encoding="utf-8") as fh:
+        with _open_output(args.trace, newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(("method",) + TRACE_COLUMNS)
             writer.writerows(result.trace or [])
@@ -84,7 +103,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _dump_replicates(path: str, report) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with _open_output(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
             ["replicate", "method", "outcome", "p_unadjusted", "p_adjusted",

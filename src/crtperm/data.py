@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import partial
+from operator import itemgetter
 from pathlib import Path
 from typing import Sequence
 
@@ -380,19 +382,25 @@ def load_dataset(csv_path: str | Path, config) -> TrialDataset:
     ``outcome_specs`` and ``covariate_cols`` attributes) declaring the
     column roles.  Cluster labels are mapped to dense internal indices
     in order of first appearance.
+
+    Fields are stripped and blank lines skipped; a UTF-8 byte-order mark
+    is allowed.  Periods are parsed by Python's ``int``, outcomes and
+    covariates by ``float``.  Of the faulty values the one reported is
+    the first in row order, and within a row in role order (cluster,
+    time, treatment, outcomes, covariates); rows are numbered from the
+    first data row.
     """
     csv_path = Path(csv_path)
-    with open(csv_path, newline="", encoding="utf-8") as fh:
+    with open(csv_path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
+            header = [h.strip() for h in next(reader)]
         except StopIteration:
             raise DataValidationError(f"empty file: {csv_path}") from None
         rows = [r for r in reader if r]
     if not rows:
         raise DataValidationError(f"empty file (no data rows): {csv_path}")
 
-    header = [h.strip() for h in header]
     col_pos = {name: i for i, name in enumerate(header)}
     outcome_specs = tuple(config.outcome_specs)
     needed = [config.cluster_col, config.treatment_col]
@@ -403,67 +411,80 @@ def load_dataset(csv_path: str | Path, config) -> TrialDataset:
         if name not in col_pos:
             raise DataValidationError(f"missing column: {name}")
 
-    def cell(row_i: int, row: list[str], col: str) -> str:
-        v = row[col_pos[col]].strip() if col_pos[col] < len(row) else ""
-        if v == "":
-            raise DataValidationError(
-                f"missing value in column {col!r} at data row {row_i + 1}"
-            )
-        return v
-
+    # one pass per needed column; a short row's absent fields are missing values
+    width = len(header)
+    if min(map(len, rows)) < width:
+        rows = [r + [""] * (width - len(r)) for r in rows]
     n = len(rows)
-    labels: list[str] = []
-    index_of: dict[str, int] = {}
-    cluster_index = np.empty(n, dtype=np.intp)
-    period = np.ones(n, dtype=np.intp)
-    treatment = np.empty(n, dtype=np.int8)
-    outcomes = np.empty((n, len(outcome_specs)))
-    covariates = np.empty((n, len(config.covariate_cols)))
+    columns = {
+        name: list(map(str.strip, map(itemgetter(col_pos[name]), rows))) for name in needed
+    }
+    del rows
+    # the first faulty value of each role as (data row, role, message); the
+    # smallest is the one a row-by-row read meets first
+    faults = []
 
-    for i, row in enumerate(rows):
-        lab = cell(i, row, config.cluster_col)
-        if lab not in index_of:
-            index_of[lab] = len(labels)
-            labels.append(lab)
-        cluster_index[i] = index_of[lab]
-        if config.time_col:
-            try:
-                period[i] = int(cell(i, row, config.time_col))
-            except DataValidationError:
+    def find_fault(role: int, col: str, ok, message) -> bool:
+        """Record the first value that is missing or fails ``ok``; False if none does."""
+        for i, v in enumerate(columns[col]):
+            if not v:
+                faults.append((i, role, f"missing value in column {col!r} at data row {i + 1}"))
+                return True
+            if not ok(v):
+                faults.append((i, role, message(i + 1, v)))
+                return True
+        return False
+
+    def convert(role: int, col: str, parse, dtype, message) -> np.ndarray | None:
+        """Column ``col`` converted by ``parse``; None once its fault is recorded."""
+        try:
+            return np.fromiter(map(parse, columns[col]), dtype, n)
+        except (ValueError, KeyError):
+            if not find_fault(role, col, partial(_parses, parse), message):
                 raise
-            except ValueError:
-                raise DataValidationError(
-                    f"non-integer time period at data row {i + 1}, "
-                    f"column {config.time_col!r}"
-                ) from None
-        t_raw = cell(i, row, config.treatment_col)
-        if t_raw not in ("0", "1"):
-            raise DataValidationError(
-                f"treatment must be 0 or 1; found {t_raw!r} at data row {i + 1}, "
-                f"column {config.treatment_col!r}"
-            )
-        treatment[i] = int(t_raw)
-        for j, spec in enumerate(outcome_specs):
-            try:
-                outcomes[i, j] = float(cell(i, row, spec.name))
-            except DataValidationError:
-                raise
-            except ValueError:
-                raise DataValidationError(
-                    f"non-numeric value for outcome {spec.name!r} at data row {i + 1}"
-                ) from None
-        for k, cname in enumerate(config.covariate_cols):
-            try:
-                covariates[i, k] = float(cell(i, row, cname))
-            except DataValidationError:
-                raise
-            except ValueError:
-                raise DataValidationError(
-                    f"non-numeric covariate {cname!r} at data row {i + 1}"
-                ) from None
+            return None
+
+    labels = columns[config.cluster_col]
+    if "" in labels:
+        find_fault(0, config.cluster_col, bool, None)
+    first_seen = dict.fromkeys(labels)
+    index_of = dict(zip(first_seen, range(len(first_seen))))
+    cluster_index = np.fromiter(map(index_of.__getitem__, labels), np.intp, n)
+
+    period = np.ones(n, dtype=np.intp)
+    if config.time_col:
+        period = convert(
+            1, config.time_col, int, np.intp,
+            lambda row, v: f"non-integer time period at data row {row}, "
+                           f"column {config.time_col!r}",
+        )
+    treatment = convert(
+        2, config.treatment_col, _TREATMENT_CODES.__getitem__, np.int8,
+        lambda row, v: f"treatment must be 0 or 1; found {v!r} at data row {row}, "
+                       f"column {config.treatment_col!r}",
+    )
+    outcomes = np.empty((n, len(outcome_specs)))
+    for j, spec in enumerate(outcome_specs):
+        col = convert(
+            3 + j, spec.name, float, float,
+            lambda row, v: f"non-numeric value for outcome {spec.name!r} at data row {row}",
+        )
+        if col is not None:
+            outcomes[:, j] = col
+    covariates = np.empty((n, len(config.covariate_cols)))
+    for k, cname in enumerate(config.covariate_cols):
+        col = convert(
+            3 + len(outcome_specs) + k, cname, float, float,
+            lambda row, v: f"non-numeric covariate {cname!r} at data row {row}",
+        )
+        if col is not None:
+            covariates[:, k] = col
+    del columns
+    if faults:
+        raise DataValidationError(min(faults)[2])
 
     ds = TrialDataset(
-        cluster_labels=labels,
+        cluster_labels=list(first_seen),
         cluster_index=cluster_index,
         period=period,
         treatment=treatment,
@@ -474,3 +495,15 @@ def load_dataset(csv_path: str | Path, config) -> TrialDataset:
     )
     ds.design = validate_design(ds)
     return ds
+
+
+#: the treatment column's only values, as written after stripping
+_TREATMENT_CODES = {"0": 0, "1": 1}
+
+
+def _parses(parse, value: str) -> bool:
+    try:
+        parse(value)
+    except (ValueError, KeyError):
+        return False
+    return True

@@ -190,8 +190,29 @@ def fit_error(status: int, name: str, max_iter: int = IRLS_MAX_ITER) -> Numerica
     return NumericalError(FIT_FAILURES[status].format(name=name, max_iter=max_iter))
 
 
+@dataclass(frozen=True)
+class PatternDesign:
+    """A pattern design ``X`` (P, p) with the rank-truncated SVD basis of its row space.
+
+    ``U`` (P, r) spans the row space; ``to_coef`` (p, r) maps
+    coordinates in it to ``lstsq``'s minimum-norm coefficients.  Build
+    one with :meth:`factor` once per design and reuse it across
+    :func:`pattern_irls` calls.
+    """
+
+    X: np.ndarray
+    U: np.ndarray
+    to_coef: np.ndarray
+
+    @classmethod
+    def factor(cls, X: np.ndarray) -> "PatternDesign":
+        U, s, Vt = np.linalg.svd(X, full_matrices=False)
+        rank = s > s[0] * max(X.shape) * np.finfo(float).eps
+        return cls(X, U[:, rank], Vt[rank].T / s[rank])
+
+
 def pattern_irls(
-    X: np.ndarray,
+    design: PatternDesign,
     counts: np.ndarray,
     ybar: np.ndarray,
     offsets: np.ndarray,
@@ -203,20 +224,19 @@ def pattern_irls(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """B log- or logit-link fits on one design, by IRLS on row patterns.
 
-    ``X`` (P, p) holds one design row per pattern, ``counts`` (P,) its
-    rows and ``ybar`` (P,) their mean outcome.  Fit b has the offset
+    ``design.X`` (P, p) holds one design row per pattern, ``counts`` (P,)
+    its rows and ``ybar`` (P,) their mean outcome.  Fit b has the offset
     ``offsets[b]`` (P,) and starts from ``start[b]``, or from g(ybar).
     The weighted least-squares steps (weight count * dmu/deta, the links
-    being canonical) are solved in the row space of X, from one SVD per
-    call, so a rank-deficient X gets ``lstsq``'s minimum-norm
+    being canonical) are solved in the row space of X, from the design's
+    SVD basis, so a rank-deficient X gets ``lstsq``'s minimum-norm
     coefficients.  A fit stops when no coefficient moved by ``tol``,
     whatever the others in its batch do.  Returns the coefficients
     (B, p), X @ coef (B, P) and each fit's status, an index into
     :data:`FIT_FAILURES` (0: converged).
     """
-    U, s, Vt = np.linalg.svd(X, full_matrices=False)
-    rank = s > s[0] * max(X.shape) * np.finfo(float).eps
-    U, Ut, to_coef = U[:, rank], U[:, rank].T, Vt[rank].T / s[rank]
+    X, U, to_coef = design.X, design.U, design.to_coef
+    Ut = U.T
     B = len(offsets)
     coef = np.zeros((B, X.shape[1])) if start is None else np.array(start, dtype=float)
     xb = np.matmul(X, coef[..., None])[..., 0]
@@ -310,7 +330,8 @@ def irls_fit(
         X, offset = _with_treatment(X_nuis[pat.rep], dataset.treatment[pat.rep], delta_fixed)
         ybar = pat.ysum[:, outcome_index] / pat.counts
         coefs, xb, status = pattern_irls(
-            X, pat.counts, ybar, offset[None], spec.link, tol=tol, max_iter=max_iter
+            PatternDesign.factor(X), pat.counts, ybar, offset[None], spec.link,
+            tol=tol, max_iter=max_iter,
         )
         if status[0]:
             raise fit_error(status[0], spec.name, max_iter)

@@ -72,7 +72,8 @@ import numpy as np
 
 from .data import TrialDataset
 from .glm import (
-    CellCovariance, fit_error, link_inverse, mean_derivative, nuisance_design, pattern_irls,
+    CellCovariance, PatternDesign, fit_error, link_inverse, mean_derivative, nuisance_design,
+    pattern_irls,
 )
 
 #: absolute tolerance below the observed |statistic| within which a
@@ -275,7 +276,7 @@ class _PatternTables:
         self.links = [specs[j].link for j in fitted]
         self.n_rows = n_rows
         self.cells = (C, T)
-        self.Xp = X[pat.rep]
+        self.design = PatternDesign.factor(X[pat.rep])
         self.Dp = D[pat.rep]
         self.ysum = pat.ysum[:, fitted].T[:, None, :]
         self.ybar = self.ysum[:, 0] / pat.counts
@@ -288,7 +289,7 @@ class _PatternTables:
         if self.weighted:
             self.K = np.stack([covariances[j].K for j in fitted])[:, None]
             self.sigma2 = [covariances[j].spec.sigma2 for j in fitted]
-        self.coef = np.empty((len(fitted), n_rows, self.Xp.shape[1]))
+        self.coef = np.empty((len(fitted), n_rows, X.shape[1]))
         self.eta_base = np.empty((len(fitted), n_rows) + self.Dp.shape)
 
     def start(self, limits: np.ndarray, refit_at: np.ndarray) -> None:
@@ -300,7 +301,7 @@ class _PatternTables:
     def _fit(self, i, chains, deltas, start, refit_at) -> np.ndarray:
         """Fit fitted outcome i's ``chains`` at ``deltas`` in one call; keep the good fits."""
         coef, xb, status = pattern_irls(
-            self.Xp, self.counts, self.ybar[i], deltas[:, None] * self.Dp, self.links[i], start
+            self.design, self.counts, self.ybar[i], deltas[:, None] * self.Dp, self.links[i], start
         )
         good = status == 0
         self.coef[i, chains[good]] = coef[good]

@@ -354,6 +354,78 @@ class TestConfigErrors:
         assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
 
 
+class TestUnreadableFiles:
+    """A file that cannot be read or written exits with its code and a message, no traceback."""
+
+    NOT_UTF8 = b"cluster,period,treatment,y1\n\xff\xfe,1,0,1.0\n"
+
+    @staticmethod
+    def _run(capsys, argv):
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        return code, err
+
+    def _analyze(self, tmp_path, capsys, data=None, config=None, out=None):
+        if data is None:
+            data, _ = _write_data(tmp_path, n_outcomes=1)
+        if config is None:
+            config = _analysis_config(tmp_path, [{"name": "y1", "family": "gaussian"}],
+                                      methods=["none"])
+        out = out or tmp_path / "o.json"
+        return self._run(capsys, ["analyze", "--data", str(data), "--config", str(config),
+                                  "--out", str(out)])
+
+    def test_data_not_utf8(self, tmp_path, capsys):
+        data = tmp_path / "latin.csv"
+        data.write_bytes(self.NOT_UTF8)
+        code, err = self._analyze(tmp_path, capsys, data=data)
+        assert code == 3
+        assert f"data error: cannot read {data}: not valid UTF-8" in err
+
+    def test_data_is_a_directory(self, tmp_path, capsys):
+        code, err = self._analyze(tmp_path, capsys, data=tmp_path)
+        assert code == 3
+        assert f"data error: cannot read {tmp_path}: Is a directory" in err
+
+    def test_config_not_utf8(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_bytes(b'{"alpha": "\xff"}')
+        code, err = self._analyze(tmp_path, capsys, config=config)
+        assert code == 2
+        assert f"config error: cannot read {config}: not valid UTF-8" in err
+
+    def test_config_is_a_directory(self, tmp_path, capsys):
+        code, err = self._analyze(tmp_path, capsys, config=tmp_path)
+        assert code == 2
+        assert f"config error: cannot read {tmp_path}: Is a directory" in err
+
+    def test_analyze_out_is_a_directory(self, tmp_path, capsys):
+        code, err = self._analyze(tmp_path, capsys, out=tmp_path)
+        assert code == 2
+        assert f"config error: cannot write {tmp_path}: Is a directory" in err
+
+    def test_study_not_utf8(self, tmp_path, capsys):
+        study = tmp_path / "study.json"
+        study.write_bytes(b'{"model": "\xff"}')
+        code, err = self._run(capsys, ["simulate", "--study", str(study),
+                                       "--out", str(tmp_path / "o.json")])
+        assert code == 2
+        assert f"config error: cannot read {study}: not valid UTF-8" in err
+
+    def test_study_is_a_directory(self, tmp_path, capsys):
+        code, err = self._run(capsys, ["simulate", "--study", str(tmp_path),
+                                       "--out", str(tmp_path / "o.json")])
+        assert code == 2
+        assert f"config error: cannot read {tmp_path}: Is a directory" in err
+
+    def test_simulate_out_is_a_directory(self, tmp_path, capsys):
+        study = _study_file(tmp_path, replicates=1)
+        code, err = self._run(capsys, ["simulate", "--study", str(study), "--out", str(tmp_path)])
+        assert code == 2
+        assert f"config error: cannot write {tmp_path}: Is a directory" in err
+
+
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
         data = tmp_path / "d.csv"
