@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import SCHEMA_VERSION, AnalysisConfig, PERMUTATION_METHODS
+from .config import METHODS, SCHEMA_VERSION, AnalysisConfig, PERMUTATION_METHODS
 from .corrections import adjust
 from .data import TrialDataset
 from .glm import (
@@ -27,8 +27,6 @@ from .glm import (
 )
 from .permutation import PermutationPlan, build_stat_matrix
 from .search import search_all_methods
-
-METHOD_ORDER = ("naive", "none", "bonferroni", "holm", "romano_wolf")
 
 
 @dataclass
@@ -116,7 +114,7 @@ def analyze(
 
     records = []
     for j, spec in enumerate(dataset.outcome_specs):
-        for m in METHOD_ORDER:
+        for m in METHODS:
             if m not in config.methods:
                 continue
             rec = {
@@ -146,7 +144,7 @@ def analyze(
         "alpha": config.alpha,
         "statistic": config.statistic,
         "sided": config.sided,
-        "methods": [m for m in METHOD_ORDER if m in config.methods],
+        "methods": [m for m in METHODS if m in config.methods],
         "n_permutations": config.n_permutations,
         "n_search_steps": config.n_search_steps,
         "seed": config.seed,

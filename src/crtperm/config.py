@@ -45,7 +45,8 @@ from .glm import CovarianceSpec
 from .search import MIN_SEARCH_STEPS
 
 METHODS = ("naive", "none", "bonferroni", "holm", "romano_wolf")
-PERMUTATION_METHODS = ("none", "bonferroni", "holm", "romano_wolf")
+#: every method but naive, in the same order
+PERMUTATION_METHODS = METHODS[1:]
 STATISTIC_KINDS = ("unweighted", "weighted")
 
 SCHEMA_VERSION = 1
@@ -144,7 +145,7 @@ class AnalysisConfig:
     time_col: str | None = None
     covariate_cols: tuple[str, ...] = ()
     alpha: float = 0.05
-    methods: tuple[str, ...] = ("none", "bonferroni", "holm", "romano_wolf")
+    methods: tuple[str, ...] = PERMUTATION_METHODS
     statistic: str = "unweighted"
     sided: str = "two_sided"
     n_permutations: int = 1000
@@ -201,7 +202,7 @@ class AnalysisConfig:
             covariate_cols=tuple(columns.get("covariates", ())),
             outcome_specs=tuple(specs),
             alpha=_number(d, "alpha", 0.05),
-            methods=d.get("methods", ("none", "bonferroni", "holm", "romano_wolf")),
+            methods=d.get("methods", PERMUTATION_METHODS),
             statistic=d.get("statistic", "unweighted"),
             sided=d.get("sided", "two_sided"),
             n_permutations=_integer(d, "n_permutations", 1000),

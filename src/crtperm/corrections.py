@@ -3,8 +3,10 @@
 All adjustments consume a :class:`~crtperm.permutation.StatMatrix` so
 that the stepdown method can use the joint permutation distribution of
 the statistics.  Bonferroni and Holm only need each row's marginal
-p-value; the stepdown adjustment recomputes, at each step, the
-per-column maximum over the hypotheses still in play.
+p-value (:attr:`~crtperm.permutation.StatMatrix.p_values`).  The
+stepdown adjustment counts, over the permuted columns, the flags of
+:func:`~crtperm.statistics.stepdown_beats`, the one max-statistic walk,
+which the confidence-limit search also steps with.
 """
 
 from __future__ import annotations
@@ -13,11 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError
 from .permutation import StatMatrix
-from .statistics import beats
-
-CORRECTION_METHODS = ("none", "bonferroni", "holm", "romano_wolf")
+from .statistics import stepdown_beats
 
 
 @dataclass
@@ -29,19 +28,9 @@ class AdjustedPValues:
     p_adjusted: np.ndarray
 
 
-def _ordering(observed: np.ndarray) -> np.ndarray:
-    """Outcome indices by decreasing |observed statistic|, ties by index."""
-    return np.lexsort((np.arange(len(observed)), -np.abs(observed)))
-
-
-def _unadjusted(matrix: StatMatrix) -> np.ndarray:
-    """The matrix's row p-values, computed once per matrix; each method gets its own copy."""
-    return matrix.p_values.copy()
-
-
 def adjust_none(matrix: StatMatrix) -> AdjustedPValues:
     """No correction: adjusted p-values equal the unadjusted ones."""
-    p = _unadjusted(matrix)
+    p = matrix.p_values.copy()
     return AdjustedPValues(
         method="none",
         p_unadjusted=p,
@@ -51,7 +40,7 @@ def adjust_none(matrix: StatMatrix) -> AdjustedPValues:
 
 def adjust_bonferroni(matrix: StatMatrix) -> AdjustedPValues:
     """Scale every p-value by the family size, capped at 1."""
-    p = _unadjusted(matrix)
+    p = matrix.p_values.copy()
     return AdjustedPValues(
         method="bonferroni",
         p_unadjusted=p,
@@ -66,14 +55,11 @@ def adjust_holm(matrix: StatMatrix) -> AdjustedPValues:
     (J - r + 1); running maxima keep the adjusted values monotone in
     the ordering.
     """
-    p = _unadjusted(matrix)
+    p = matrix.p_values.copy()
     J = len(p)
     order = np.argsort(p, kind="stable")
     adjusted = np.empty(J)
-    running = 0.0
-    for r, j in enumerate(order):
-        running = max(running, min((J - r) * p[j], 1.0))
-        adjusted[j] = running
+    adjusted[order] = np.maximum.accumulate(np.minimum((J - np.arange(J)) * p[order], 1.0))
     return AdjustedPValues(
         method="holm",
         p_unadjusted=p,
@@ -88,27 +74,18 @@ def adjust_romano_wolf(matrix: StatMatrix) -> AdjustedPValues:
     statistic.  At step r the reference distribution is the per-column
     maximum over the not-yet-processed rows, and the step's p-value is
     the exceedance probability of the observed statistic against it,
-    ties decided by :func:`~crtperm.statistics.beats`; running
-    maxima enforce monotonicity along the ordering.  With a single
-    outcome this reduces exactly to the unadjusted p-value.
+    the flags of :func:`~crtperm.statistics.stepdown_beats` counted
+    over the permuted columns; running maxima enforce monotonicity
+    along the ordering.  With a single outcome this reduces exactly to
+    the unadjusted p-value.
     """
-    if matrix.n_permutations < 1:
-        raise ValueError("stepdown adjustment requires at least one permutation")
-    p = _unadjusted(matrix)
-    obs_key = np.abs(matrix.values[:, 0])
-    perm_key = np.abs(matrix.values[:, 1:])
-    if not (np.all(np.isfinite(obs_key)) and np.all(np.isfinite(perm_key))):
-        raise NumericalError("non-finite statistic in permutation matrix")
-    order = _ordering(obs_key)
+    # p_values refuses a non-finite statistic and a matrix without permuted columns
+    p = matrix.p_values.copy()
+    order, beat = stepdown_beats(np.abs(matrix.values.T)[:, None])
     add = 0 if matrix.exact else 1
-    ncol = perm_key.shape[1]
+    steps = (add + (~beat[:, 0]).sum(0)) / (add + matrix.n_permutations)
     adjusted = np.empty(len(p))
-    running = 0.0
-    for r, j in enumerate(order):
-        colmax = perm_key[order[r:]].max(axis=0)
-        p_step = (add + int(np.sum(~beats(obs_key[j], colmax)))) / (add + ncol)
-        running = max(running, p_step)
-        adjusted[j] = running
+    adjusted[order[0]] = np.maximum.accumulate(steps)
     return AdjustedPValues(
         method="romano_wolf",
         p_unadjusted=p,

@@ -23,7 +23,6 @@ import numpy as np
 
 from .errors import DataValidationError, DesignError
 
-SUPPORTED_FAMILIES = ("gaussian", "poisson", "binomial")
 CANONICAL_LINKS = {"gaussian": "identity", "poisson": "log", "binomial": "logit"}
 SUPPORTED_PAIRS = frozenset(CANONICAL_LINKS.items())
 
@@ -384,11 +383,11 @@ def load_dataset(csv_path: str | Path, config) -> TrialDataset:
     in order of first appearance.
 
     Fields are stripped and blank lines skipped; a UTF-8 byte-order mark
-    is allowed.  Periods are parsed by Python's ``int``, outcomes and
-    covariates by ``float``.  Of the faulty values the one reported is
-    the first in row order, and within a row in role order (cluster,
-    time, treatment, outcomes, covariates); rows are numbered from the
-    first data row.
+    is allowed.  Periods are parsed by Python's ``int`` and must fit an
+    int64, outcomes and covariates are parsed by ``float``.  Of the
+    faulty values the one reported is the first in row order, and within
+    a row in role order (cluster, time, treatment, outcomes,
+    covariates); rows are numbered from the first data row.
     """
     csv_path = Path(csv_path)
     with open(csv_path, newline="", encoding="utf-8-sig") as fh:
@@ -439,8 +438,8 @@ def load_dataset(csv_path: str | Path, config) -> TrialDataset:
         """Column ``col`` converted by ``parse``; None once its fault is recorded."""
         try:
             return np.fromiter(map(parse, columns[col]), dtype, n)
-        except (ValueError, KeyError):
-            if not find_fault(role, col, partial(_parses, parse), message):
+        except _PARSE_ERRORS:
+            if not find_fault(role, col, partial(_parses, parse, dtype), message):
                 raise
             return None
 
@@ -451,13 +450,13 @@ def load_dataset(csv_path: str | Path, config) -> TrialDataset:
     index_of = dict(zip(first_seen, range(len(first_seen))))
     cluster_index = np.fromiter(map(index_of.__getitem__, labels), np.intp, n)
 
+    def period_fault(row: int, v: str) -> str:
+        what = "time period out of range" if _parses(int, int, v) else "non-integer time period"
+        return f"{what} at data row {row}, column {config.time_col!r}"
+
     period = np.ones(n, dtype=np.intp)
     if config.time_col:
-        period = convert(
-            1, config.time_col, int, np.intp,
-            lambda row, v: f"non-integer time period at data row {row}, "
-                           f"column {config.time_col!r}",
-        )
+        period = convert(1, config.time_col, int, np.intp, period_fault)
     treatment = convert(
         2, config.treatment_col, _TREATMENT_CODES.__getitem__, np.int8,
         lambda row, v: f"treatment must be 0 or 1; found {v!r} at data row {row}, "
@@ -501,9 +500,15 @@ def load_dataset(csv_path: str | Path, config) -> TrialDataset:
 _TREATMENT_CODES = {"0": 0, "1": 1}
 
 
-def _parses(parse, value: str) -> bool:
+#: what a value that ``parse`` cannot read, or whose result the column's
+#: dtype cannot hold (a period beyond the int64 range), raises
+_PARSE_ERRORS = (ValueError, KeyError, OverflowError)
+
+
+def _parses(parse, dtype, value: str) -> bool:
+    """Whether ``parse`` reads ``value`` into something ``dtype`` can hold."""
     try:
-        parse(value)
-    except (ValueError, KeyError):
+        dtype(parse(value))
+    except _PARSE_ERRORS:
         return False
     return True

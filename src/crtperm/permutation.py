@@ -30,9 +30,11 @@ estimates.
 
 The matrix is the statistic kernel of :mod:`crtperm.statistics` at
 the null delta = 0, the kernel the confidence-limit search steps with.
-Exceedance counts use its tie rule, :func:`~crtperm.statistics.beats`:
-a permuted statistic within ``TIE_TOL`` below the observed one ties.
-Tests are two-sided: they compare absolute statistics.
+:attr:`StatMatrix.p_values` counts the exceedances of every row in one
+vectorised comparison with the kernel's tie rule,
+:func:`~crtperm.statistics.beats`: a permuted statistic within
+``TIE_TOL`` below the observed one ties.  Tests are two-sided: they
+compare absolute statistics.
 """
 
 from __future__ import annotations
@@ -90,8 +92,14 @@ class StatMatrix:
     adjustment needs to capture the joint permutation distribution.
     ``exact`` marks matrices whose columns enumerate the entire
     allocation space.  ``p_values`` holds every row's unadjusted
-    p-value (:func:`row_p_value`), computed once on first use and
-    read-only.
+    p-value, computed once on first use and read-only: with
+    ``count`` the permuted columns whose |statistic| the observed one
+    does not beat (:func:`~crtperm.statistics.beats`) among K, it is
+    the exact ``count / K`` of an enumerated matrix and the add-one
+    Monte Carlo ``(1 + count) / (1 + K)`` of a sampled one, which is
+    never zero because the observed allocation counts as one draw.  A
+    non-finite statistic raises :class:`~crtperm.errors.NumericalError`
+    and a matrix without permuted columns ``ValueError``.
     """
 
     values: np.ndarray
@@ -107,7 +115,14 @@ class StatMatrix:
 
     @cached_property
     def p_values(self) -> np.ndarray:
-        p = np.array([row_p_value(self, j) for j in range(self.n_outcomes)])
+        a = np.abs(self.values)
+        if not np.all(np.isfinite(a)):
+            raise NumericalError("non-finite statistic in permutation matrix")
+        K = self.n_permutations
+        if K < 1:
+            raise ValueError("a permutation p-value needs at least one permuted column")
+        add = 0 if self.exact else 1
+        p = (add + (~beats(a[:, :1], a[:, 1:])).sum(1)) / (add + K)
         p.flags.writeable = False
         return p
 
@@ -202,48 +217,3 @@ def build_stat_matrix(
                 f"all zero or not finite (allocation column {int(bad[0])})"
             )
     return StatMatrix(values=values, exact=exact)
-
-
-def _check_row(row: np.ndarray) -> np.ndarray:
-    row = np.asarray(row, dtype=float)
-    if not np.all(np.isfinite(row)):
-        raise NumericalError("non-finite statistic in permutation row")
-    return row
-
-
-def exceedance_count(row: np.ndarray) -> int:
-    """Number of permuted |statistics| at least as large as the observed, ties included."""
-    row = _check_row(row)
-    return int(np.sum(~beats(np.abs(row[0]), np.abs(row[1:]))))
-
-
-def mc_p_value(row: np.ndarray) -> float:
-    """Add-one Monte Carlo p-value for one observed-plus-permuted row.
-
-    p = (1 + #{m : extreme}) / (M + 1), which is a valid p-value (never
-    zero) because the observed allocation counts as one draw.
-    """
-    row = _check_row(row)
-    M = len(row) - 1
-    if M < 1:
-        raise ValueError("mc_p_value requires at least one permutation")
-    return (1 + exceedance_count(row)) / (M + 1)
-
-
-def exact_p_value(row: np.ndarray) -> float:
-    """Exact permutation p-value over an exhaustively enumerated row.
-
-    The enumeration includes the observed allocation itself, so the
-    exceedance proportion is already a valid p-value without the
-    add-one adjustment.
-    """
-    row = _check_row(row)
-    if len(row) < 2:
-        raise ValueError("exact_p_value requires an enumerated allocation set")
-    return exceedance_count(row) / (len(row) - 1)
-
-
-def row_p_value(matrix: StatMatrix, j: int) -> float:
-    """Unadjusted p-value for outcome j, exact or add-one per the matrix."""
-    row = matrix.values[j]
-    return exact_p_value(row) if matrix.exact else mc_p_value(row)

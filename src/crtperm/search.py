@@ -65,7 +65,7 @@ from .data import TrialDataset
 from .errors import CrtPermError
 from .glm import CellCovariance, FittedMeanModel, irls_fit
 from .permutation import observed_subset, sample_subsets, sign_block
-from .statistics import StepKernel, beats
+from .statistics import StepKernel, beats, stepdown_beats
 
 #: fewest steps per chain the search accepts
 MIN_SEARCH_STEPS = 100
@@ -128,9 +128,12 @@ class StepRule:
     (:func:`~crtperm.statistics.beats`); the stepdown rows
     instead walk the outcomes by decreasing observed |statistic| and
     reject while the largest permuted value among the outcomes not yet
-    visited stays below in that sense, and the holm rows take alpha*
-    from the multiplier ladder in that same order.  Only the good chains take
-    part in a step's ordering and walk.
+    visited stays below in that sense, the walk of
+    :func:`~crtperm.statistics.stepdown_beats` with one draw, the same
+    routine the adjusted p-values count over the permutation matrix.
+    The holm rows take alpha* from the multiplier ladder in that same
+    order.  Only the good chains take part in a step's ordering and
+    walk.
     """
 
     def __init__(self, methods: list[str], alpha: float, theta: np.ndarray):
@@ -176,11 +179,9 @@ class StepRule:
         flags = beats(a_obs, a_perm)
         levels = self.levels
         if self.ordered:
-            order = (-a_obs).argsort(axis=1, kind="stable")
+            order, beat = stepdown_beats(a)
             rank = order.argsort(axis=1)
-            sorted_obs, sorted_perm = a[:, self.rows, order]
-            suffix = np.maximum.accumulate(sorted_perm[:, ::-1], axis=1)[:, ::-1]
-            walk = np.logical_and.accumulate(beats(sorted_obs, suffix), axis=1)
+            walk = np.logical_and.accumulate(beat[0], axis=1)
             flags = np.where(self.stepdown, walk[self.rows, rank], flags)
             levels = np.where(self.holm, self.ladder[:, rank], levels)
         reject_frac, accept_frac, k = levels

@@ -58,10 +58,12 @@ Ties.  Allocations that tie with the observed one in exact arithmetic
 (the same or the complementary signs, or clusters with identical
 tables swapped across arms) can land a few ulps apart once the sums
 are rounded.  Every decision that compares a permuted |T| with the
-observed one (p-value counts, the stepdown adjustment, the search's
-reject flags) therefore goes through :func:`beats`: the observed value
-beats a permuted one only when it exceeds it by more than ``TIE_TOL``;
-otherwise the permuted value counts as at least as extreme.
+observed one (p-value counts, the search's reject flags, and the
+stepdown walk :func:`stepdown_beats` that the stepdown adjustment and
+the search's stepdown rows share) therefore goes through
+:func:`beats`: the observed value beats a permuted one only when it
+exceeds it by more than ``TIE_TOL``; otherwise the permuted value
+counts as at least as extreme.
 """
 
 from __future__ import annotations
@@ -90,6 +92,25 @@ REFIT_FRACTION = 0.1
 def beats(observed, permuted):
     """True where ``observed`` exceeds ``permuted`` by more than the tie tolerance."""
     return permuted < observed - TIE_TOL
+
+
+def stepdown_beats(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The max-statistic stepdown walk of N families of J hypotheses.
+
+    ``a`` holds |statistics|, shape (1 + K, N, J): row 0 the observed
+    ones, rows 1.. K permuted draws.  Each family's hypotheses are
+    ranked by decreasing observed value, ties by index, and ``order``,
+    shape (N, J), lists them in that order.  The flags, shape
+    (K, N, J), say at rank r whether the observed value there
+    :func:`beats` the largest draw-k value over ranks r and later.
+    This is the one stepdown walk: the adjusted p-values count the
+    flags over K draws, and each confidence-limit search step walks
+    K = 1.
+    """
+    order = (-a[0]).argsort(axis=1, kind="stable")
+    ranked = a[:, np.arange(a.shape[1])[:, None], order]
+    suffix = np.maximum.accumulate(ranked[1:, :, ::-1], axis=2)[:, :, ::-1]
+    return order, beats(ranked[0], suffix)
 
 
 def studentize(tables: np.ndarray, signs: np.ndarray) -> np.ndarray:

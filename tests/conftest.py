@@ -8,6 +8,7 @@ import pytest
 
 from crtperm.data import OutcomeSpec, TrialDataset, validate_design
 from crtperm.glm import nuisance_design
+from crtperm.permutation import StatMatrix
 
 
 def make_gaussian_dataset(
@@ -193,6 +194,11 @@ def reference_stat(table, signs):
     """sum_c r_c / sqrt(sum_c r_c^2) with r_c = sum_t signs[c, t] * table[c, t], exactly summed."""
     r = [math.fsum(s * x for s, x in zip(srow, trow)) for srow, trow in zip(signs, table)]
     return math.fsum(r) / math.sqrt(math.fsum(x * x for x in r))
+
+
+def one_row_p(row, exact=False):
+    """The p-value of one observed-plus-permuted row, as a one-row matrix gives it."""
+    return StatMatrix(values=np.asarray(row, dtype=float)[None], exact=exact).p_values[0]
 
 
 def grid_inversion_endpoints(dataset, outcome_index, alpha, resolution, span=6.0):

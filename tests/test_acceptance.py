@@ -18,8 +18,6 @@ from crtperm.glm import irls_fit
 from crtperm.permutation import (
     PermutationPlan,
     build_stat_matrix,
-    exact_p_value,
-    mc_p_value,
     observed_subset,
     sign_block,
 )
@@ -36,6 +34,12 @@ WORKERS = resolve_workers(None)
 def _report(criterion: int, ok: bool, detail: str) -> None:
     print(f"[acceptance] criterion {criterion:2d}: {'PASS' if ok else 'FAIL'} - {detail}")
     assert ok, f"criterion {criterion}: {detail}"
+
+
+def _widths(report, method):
+    """Per-replicate interval widths of ``method``, shape (replicates, J)."""
+    return np.array([np.subtract(r["methods"][method]["upper"], r["methods"][method]["lower"])
+                     for r in report.replicate_rows])
 
 
 def _run(study: StudySpec, keep=False):
@@ -78,7 +82,7 @@ def run_high_correlation():
         replicates=500, n_permutations=200, n_search_steps=1000,
         seed=20240505,
     )
-    return _run(study)
+    return _run(study, keep=True)
 
 
 @pytest.fixture(scope="module")
@@ -164,18 +168,7 @@ class TestCriterion4EfficiencyOrdering:
         replicate count.
         """
         report, _ = run_two_true_nulls
-        rows = report.replicate_rows
-
-        def widths(method):
-            return np.array(
-                [
-                    [r["methods"][method]["upper"][j] - r["methods"][method]["lower"][j]
-                     for j in range(2)]
-                    for r in rows
-                ]
-            )
-
-        w_rw, w_holm, w_bonf = widths("romano_wolf"), widths("holm"), widths("bonferroni")
+        w_rw, w_holm, w_bonf = (_widths(report, m) for m in ("romano_wolf", "holm", "bonferroni"))
         details = []
         ok = True
         for name, gap in (("holm-rw", w_holm - w_rw), ("bonf-holm", w_bonf - w_holm)):
@@ -199,6 +192,16 @@ class TestCriterion5CorrelationRobustness:
             f"rho=0.8: rw fwer={rw.fwer:.3f}, rw coverage={rw.coverage:.3f}, "
             f"bonferroni fwer={bonf:.3f}",
         )
+
+    def test_stepdown_narrower_than_bonferroni(self, run_high_correlation):
+        """Correlated outcomes are where a valid stepdown interval buys width."""
+        report, _ = run_high_correlation
+        gap = _widths(report, "bonferroni") - _widths(report, "romano_wolf")
+        mean = gap.mean(axis=0)
+        se = gap.std(axis=0, ddof=1) / np.sqrt(len(gap))
+        ok = bool(np.all(mean > 2 * se))
+        details = ", ".join(f"y{j + 1}={mean[j]:.4f}+-{se[j]:.4f}" for j in range(len(mean)))
+        _report(5, ok, f"rho=0.8 width gap bonferroni-rw {details}")
 
 
 class TestCriterion6ExactOracleEquivalence:
@@ -224,8 +227,8 @@ class TestCriterion6ExactOracleEquivalence:
         ok = True
         details = []
         for j in range(2):
-            p_exact = exact_p_value(exact.values[j])
-            p_mc = mc_p_value(sampled.values[j])
+            p_exact = exact.p_values[j]
+            p_mc = sampled.p_values[j]
             se = np.sqrt(p_exact * (1 - p_exact) / 10_000)
             ok = ok and abs(p_mc - p_exact) <= 3 * se + 2 / 10_001
             details.append(f"y{j + 1}: exact={p_exact:.4f} mc={p_mc:.4f}")

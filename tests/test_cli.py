@@ -91,6 +91,16 @@ class TestAnalyze:
         code = main(["analyze", "--data", str(bad), "--config", str(cfg), "--out", str(tmp_path / "o.json")])
         assert code == 3
 
+    def test_period_beyond_int64_exits_three(self, tmp_path, capsys):
+        bad = tmp_path / "huge_period.csv"
+        bad.write_text("cluster,period,treatment,y1\nA,1,0,1.0\nB,99999999999999999999,1,2.0\n")
+        cfg = _analysis_config(tmp_path, [{"name": "y1", "family": "gaussian"}])
+        code = main(["analyze", "--data", str(bad), "--config", str(cfg), "--out", str(tmp_path / "o.json")])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "data error: time period out of range at data row 2, column 'period'" in err
+        assert "Traceback" not in err
+
     def test_numerical_failure_exits_four(self, tmp_path):
         # perfectly separated binomial outcome
         rows = ["cluster,period,treatment,y1"]

@@ -14,8 +14,10 @@ from crtperm.corrections import (
     adjust_romano_wolf,
 )
 from crtperm.errors import NumericalError
-from crtperm.permutation import StatMatrix, mc_p_value
+from crtperm.permutation import StatMatrix
+from crtperm.statistics import TIE_TOL, beats
 
+from conftest import one_row_p
 from test_search import single_step_decision
 
 
@@ -38,6 +40,54 @@ def _matrix(obs, perms, exact=False):
 def _rejection_order(matrix):
     """Outcomes by decreasing |observed statistic|, ties by index: the stepdown order."""
     return np.argsort(-np.abs(matrix.values[:, 0]), kind="stable")
+
+
+def reference_romano_wolf(matrix):
+    """Stepdown adjusted p-values by a loop over ranks, one column max per rank."""
+    obs_key = np.abs(matrix.values[:, 0])
+    perm_key = np.abs(matrix.values[:, 1:])
+    order = np.lexsort((np.arange(len(obs_key)), -obs_key))
+    add = 0 if matrix.exact else 1
+    ncol = perm_key.shape[1]
+    adjusted = np.empty(len(obs_key))
+    running = 0.0
+    for r, j in enumerate(order):
+        colmax = perm_key[order[r:]].max(axis=0)
+        p_step = (add + int(np.sum(~beats(obs_key[j], colmax)))) / (add + ncol)
+        running = max(running, p_step)
+        adjusted[j] = running
+    return adjusted
+
+
+def reference_holm(p):
+    """Holm adjusted p-values by a loop over the ascending p-values."""
+    J = len(p)
+    order = np.argsort(p, kind="stable")
+    adjusted = np.empty(J)
+    running = 0.0
+    for r, j in enumerate(order):
+        running = max(running, min((J - r) * p[j], 1.0))
+        adjusted[j] = running
+    return adjusted
+
+
+def _random_matrices(seed, n):
+    """Seeded matrices, J 1-6 and K 1-300, exact and sampled, with exact and rounding ties."""
+    rng = np.random.default_rng(seed)
+    below = 1.0 - 2.0**-52
+    for i in range(n):
+        J, K = int(rng.integers(1, 7)), int(rng.integers(1, 301))
+        values = rng.normal(size=(J, K + 1))
+        if i % 3 == 0:  # observed values repeated across outcomes
+            values[:, 0] = np.round(values[:, 0], 1)
+        for j in range(J):
+            cols = 1 + rng.choice(K, size=min(K, int(rng.integers(0, 4))), replace=False)
+            values[j, cols] = -values[j, 0]  # exact ties
+            cols = 1 + rng.choice(K, size=min(K, int(rng.integers(0, 4))), replace=False)
+            values[j, cols] = values[j, 0] * below  # 2**-52 under |T_obs|
+            col = int(rng.integers(1, K + 1))
+            values[rng.integers(0, J), col] = values[j, 0]  # an exact tie in another row
+        yield StatMatrix(values=values, exact=bool(i % 2))
 
 
 class TestBonferroni:
@@ -89,7 +139,7 @@ class TestRomanoWolf:
         rng = np.random.default_rng(0)
         m = _matrix(obs=[1.3], perms=rng.normal(size=(1, 200)))
         adj = adjust_romano_wolf(m)
-        assert adj.p_adjusted[0] == pytest.approx(mc_p_value(m.values[0]))
+        assert adj.p_adjusted[0] == pytest.approx(one_row_p(m.values[0]))
 
     def test_duplicated_rows_equal_single_row_unadjusted(self):
         rng = np.random.default_rng(1)
@@ -121,12 +171,40 @@ class TestRomanoWolf:
             assert np.all(np.diff(ordered) >= -1e-15)
 
 
+class TestBitForBitReference:
+    """The vectorised walks equal the rank loops they replace, bit for bit."""
+
+    def test_matrices_hold_rounding_gaps_that_tie(self):
+        gaps = 0
+        for m in _random_matrices(seed=11, n=400):
+            a = np.abs(m.values)
+            near = (a[:, 1:] < a[:, :1]) & (a[:, 1:] >= a[:, :1] - TIE_TOL)
+            assert not beats(a[:, :1], a[:, 1:])[near].any()
+            gaps += int(near.sum())
+        assert gaps > 400
+    def test_romano_wolf_matches_rank_loop(self):
+        for m in _random_matrices(seed=11, n=400):
+            assert np.array_equal(adjust_romano_wolf(m).p_adjusted, reference_romano_wolf(m))
+
+    def test_holm_matches_its_loop(self):
+        for m in _random_matrices(seed=12, n=400):
+            p = m.p_values
+            assert np.array_equal(adjust_holm(m).p_adjusted, reference_holm(p))
+
+    def test_holm_matches_its_loop_on_tied_and_capped_p(self):
+        rng = np.random.default_rng(13)
+        for _ in range(300):
+            counts = rng.choice([0, 1, 2, 19, 49, 89, 99], size=int(rng.integers(1, 7)))
+            m = _matrix_from_counts(counts, M=99)
+            assert np.array_equal(adjust_holm(m).p_adjusted, reference_holm(m.p_values))
+
+
 class TestUnadjusted:
     def test_one_computation_and_independent_copies(self):
         rng = np.random.default_rng(4)
         m = _matrix(rng.normal(size=3), rng.normal(size=(3, 99)))
         cached = m.p_values
-        want = np.array([mc_p_value(row) for row in m.values])
+        want = np.array([one_row_p(row) for row in m.values])
         assert np.array_equal(cached, want)
         results = [adjust(m, method) for method in
                    ("none", "bonferroni", "holm", "romano_wolf")]

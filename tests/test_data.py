@@ -215,6 +215,12 @@ class TestLoaderRules:
                           time_col="period")
         assert msg == "non-integer time period at data row 2, column 'period'"
 
+    @pytest.mark.parametrize("period", ["99999999999999999999", "-99999999999999999999"])
+    def test_period_beyond_int64_is_out_of_range(self, tmp_path, period):
+        msg = self._error(tmp_path, f"cluster,period,treatment,y1\nA,1,0,1.0\nA,{period},0,2.0\n",
+                          time_col="period")
+        assert msg == "time period out of range at data row 2, column 'period'"
+
     def test_non_numeric_outcome(self, tmp_path):
         msg = self._error(tmp_path, "cluster,treatment,y1,y2\nA,0,1.0,2\nB,1,3.0,two\n",
                           outcomes=("y1", "y2"))

@@ -16,9 +16,6 @@ from crtperm.permutation import (
     StatMatrix,
     build_stat_matrix,
     enumerate_subsets,
-    exact_p_value,
-    exceedance_count,
-    mc_p_value,
     n_allocations,
     observed_subset,
     sample_subsets,
@@ -31,6 +28,7 @@ from conftest import (
     make_baseline_dataset,
     make_gaussian_dataset,
     make_mixed_dataset,
+    one_row_p,
     reference_stat,
     reference_table,
 )
@@ -209,30 +207,34 @@ class TestBuildStatMatrix:
 class TestMcPValue:
     def test_extreme_observed(self):
         row = np.concatenate([[5.0], np.linspace(-2, 2, 999)])
-        assert mc_p_value(row) == pytest.approx(1 / 1000)
+        assert one_row_p(row) == pytest.approx(1 / 1000)
 
     def test_tie_saturation(self):
         row = np.array([1.0, 1.0, 1.0, 1.0])
-        assert mc_p_value(row) == 1.0
+        assert one_row_p(row) == 1.0
+        assert one_row_p(row, exact=True) == 1.0
 
     def test_hand_count(self):
         row = np.array([2.0, 1.0, -2.5, 0.3, 2.0])
-        assert mc_p_value(row) == pytest.approx(3 / 5)
+        assert one_row_p(row) == pytest.approx(3 / 5)
+        assert one_row_p(row, exact=True) == pytest.approx(2 / 4)
 
     def test_bounds(self):
         rng = np.random.default_rng(0)
         for _ in range(100):
             row = rng.normal(size=rng.integers(2, 40))
-            p = mc_p_value(row)
+            p = one_row_p(row)
             assert 1 / len(row) <= p <= 1.0
 
     def test_non_finite_rejected(self):
-        with pytest.raises(NumericalError, match="non-finite"):
-            mc_p_value(np.array([1.0, np.nan, 2.0]))
+        for exact in (False, True):
+            with pytest.raises(NumericalError, match="non-finite"):
+                one_row_p(np.array([1.0, np.nan, 2.0]), exact)
 
     def test_requires_permutations(self):
-        with pytest.raises(ValueError):
-            mc_p_value(np.array([1.0]))
+        for exact in (False, True):
+            with pytest.raises(ValueError):
+                one_row_p(np.array([1.0]), exact)
 
 
 class TestExactVersusMonteCarlo:
@@ -242,12 +244,12 @@ class TestExactVersusMonteCarlo:
                                    effect=0.8, seed=10)
         exact_m = build_stat_matrix(ds, PermutationPlan(n_draws=0, seed=0))
         assert exact_m.exact and exact_m.values.shape == (1, 21)
-        p_exact = exact_p_value(exact_m.values[0])
+        p_exact = exact_m.p_values[0]
 
         sampled = build_stat_matrix(
             ds, PermutationPlan(n_draws=10_000, seed=3, enumerate_exact=False)
         )
-        p_mc = mc_p_value(sampled.values[0])
+        p_mc = sampled.p_values[0]
         se = np.sqrt(p_exact * (1 - p_exact) / 10_000)
         assert abs(p_mc - p_exact) < 3 * se + 2 / 10_001
 
@@ -260,8 +262,8 @@ class TestTieRule:
     def test_rounding_gap_counts_as_tie(self):
         assert 1.0 - self.BELOW < TIE_TOL
         row = np.array([1.0, -self.BELOW, 0.5, 0.25])
-        assert exceedance_count(row) == 1
-        assert mc_p_value(row) == pytest.approx(2 / 4)
+        assert one_row_p(row, exact=True) == pytest.approx(1 / 3)
+        assert one_row_p(row) == pytest.approx(2 / 4)
         matrix = StatMatrix(values=row[None], exact=False)
         assert adjust_romano_wolf(matrix).p_adjusted[0] == pytest.approx(2 / 4)
         # the search treats the same gap as a non-rejection, in every rule
@@ -274,7 +276,7 @@ class TestTieRule:
     def test_real_gap_is_not_a_tie(self):
         below = 1.0 - 10 * TIE_TOL
         row = np.array([1.0, below, 0.5])
-        assert exceedance_count(row) == 0
+        assert one_row_p(row, exact=True) == 0.0
         rule = StepRule(["none", "romano_wolf"], 0.05, np.zeros(1))
         stats = np.broadcast_to(np.array([1.0, below])[:, None, None], (2, 2, 1))
         _, flags, _ = rule.update(np.ones((2, 1)), stats, None, 1.0, 1)
@@ -308,4 +310,4 @@ class TestTieRule:
         gaps = np.abs(m.values[0, [swapped, complement]]) - abs(m.values[0, 0])
         assert np.all(np.abs(gaps) < TIE_TOL)
         row = m.values[0]
-        assert exceedance_count(row[[0, swapped, complement]]) == 2
+        assert one_row_p(row[[0, swapped, complement]], exact=True) == 1.0
