@@ -18,7 +18,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import json
+import os
 import sys
 
 from .analysis import analyze
@@ -62,6 +64,31 @@ def _open_output(path: str, **kwargs):
         raise ConfigError(f"cannot write {path}: {_unreadable(exc)}") from None
 
 
+def _check_writable(*paths: str | None) -> None:
+    """Fail now, not after the run, on an output path that cannot be written.
+
+    Nothing is opened or created, so a pipe keeps its reader and a run
+    that fails later leaves every path as it was: an existing path must
+    be a file we may write, and a new one (a dangling link's target too)
+    needs a directory we may write in.
+    """
+    for path in paths:
+        if path and (err := _unwritable(path)):
+            raise ConfigError(f"cannot write {path}: {os.strerror(err)}")
+
+
+def _unwritable(path: str) -> int:
+    """The errno that opening ``path`` for writing would likely meet, or 0."""
+    if os.path.isdir(path):
+        return errno.EISDIR
+    if os.path.exists(path):
+        return 0 if os.access(path, os.W_OK) else errno.EACCES
+    parent = os.path.dirname(os.path.realpath(path))
+    if not os.path.isdir(parent):
+        return errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+    return 0 if os.access(parent, os.W_OK | os.X_OK) else errno.EACCES
+
+
 def _write_json(path: str, payload: dict) -> None:
     with _open_output(path) as fh:
         json.dump(payload, fh, indent=2)
@@ -69,6 +96,7 @@ def _write_json(path: str, payload: dict) -> None:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    _check_writable(args.out, args.trace)
     config = AnalysisConfig.from_dict(_read_json(args.config))
     try:
         dataset = load_dataset(args.data, config)
@@ -88,6 +116,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    _check_writable(args.out, args.dump)
     raw = _read_json(args.study)
     if args.replicates is not None:
         raw["replicates"] = args.replicates

@@ -216,7 +216,7 @@ def pattern_irls(
     counts: np.ndarray,
     ybar: np.ndarray,
     offsets: np.ndarray,
-    link: str,
+    link: str | np.ndarray,
     start: np.ndarray | None = None,
     *,
     tol: float = IRLS_TOL,
@@ -224,51 +224,83 @@ def pattern_irls(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """B log- or logit-link fits on one design, by IRLS on row patterns.
 
-    ``design.X`` (P, p) holds one design row per pattern, ``counts`` (P,)
-    its rows and ``ybar`` (P,) their mean outcome.  Fit b has the offset
-    ``offsets[b]`` (P,) and starts from ``start[b]``, or from g(ybar).
-    The weighted least-squares steps (weight count * dmu/deta, the links
-    being canonical) are solved in the row space of X, from the design's
-    SVD basis, so a rank-deficient X gets ``lstsq``'s minimum-norm
-    coefficients.  A fit stops when no coefficient moved by ``tol``,
-    whatever the others in its batch do.  Returns the coefficients
-    (B, p), X @ coef (B, P) and each fit's status, an index into
-    :data:`FIT_FAILURES` (0: converged).
+    ``design.X`` (P, p) holds one design row per pattern.  Fit b has
+    ``counts[b]`` (P,) rows per pattern with mean outcome ``ybar[b]``
+    (P,), the offset ``offsets[b]`` (P,) and the link ``link[b]`` (or
+    ``link``, one name for every fit), and starts from ``start[b]``, or
+    from g(ybar[b]); so the fits of several outcomes and datasets on one
+    design take one call.  The weighted least-squares steps (weight
+    count * dmu/deta, the links being canonical) are solved in the row
+    space of X, from the design's SVD basis, so a rank-deficient X gets
+    ``lstsq``'s minimum-norm coefficients.  A fit stops when no
+    coefficient moved by ``tol``, whatever the others in its batch do,
+    and its iterates are bit for bit those of a call that holds it
+    alone.  Returns the coefficients (B, p), X @ coef (B, P) and each
+    fit's status, an index into :data:`FIT_FAILURES` (0: converged).
     """
     X, U, to_coef = design.X, design.U, design.to_coef
     Ut = U.T
     B = len(offsets)
+    lg = np.zeros((B, 1), dtype=bool)
+    lg[:, 0] = np.asarray(link) == "logit"
     coef = np.zeros((B, X.shape[1])) if start is None else np.array(start, dtype=float)
     xb = np.matmul(X, coef[..., None])[..., 0]
-    eta = np.tile(_initial_eta(ybar, link), (B, 1)) if start is None else xb + offsets
+    if start is None:
+        eta = np.empty(np.shape(offsets))
+        eta[lg[:, 0]] = _initial_eta(ybar[lg[:, 0]], "logit")
+        eta[~lg[:, 0]] = _initial_eta(ybar[~lg[:, 0]], "log")
+    else:
+        eta = xb + offsets
     status = np.full(B, FIT_NO_CONVERGENCE)
-    # the fits still iterating, with their offsets and iterates
+    # the fits still iterating: their per-fit arrays and iterates, filtered together
     live, off, c, e = np.arange(B), offsets, coef, eta
-    for n_iter in range(1, max_iter + 1):
-        if not live.size:
-            break
-        mu = link_inverse(e, link)
-        w = counts * mean_derivative(mu, link)
-        wz = w * (e - off) + counts * (ybar - mu)
-        # a weight or response that is not finite makes the sum not finite
-        finite = np.isfinite(wz.sum(axis=1))
-        if not finite.all():
-            status[live[~finite]] = FIT_OVERFLOW
-            live, off, c, w, wz = live[finite], off[finite], c[finite], w[finite], wz[finite]
-        a = _solve_each(np.matmul(Ut * w[:, None, :], U), np.matmul(Ut, wz[..., None]))
-        new = np.matmul(to_coef, a)[..., 0]
-        converged = (np.abs(new - c).max(axis=1) < tol) & (n_iter > 1)
-        c, xb_live = new, np.matmul(X, new[..., None])[..., 0]
-        coef[live], xb[live], e = c, xb_live, xb_live + off
-        if link == "logit":
+    # an offset far out overflows the mean (or makes inf * 0 of a weight and
+    # a zero offset-free predictor), and its fit stops with FIT_OVERFLOW
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n_iter in range(1, max_iter + 1):
+            if not live.size:
+                break
+            mu = batch_mean(e, lg)
+            w = counts * batch_derivative(mu, lg)
+            wz = w * (e - off) + counts * (ybar - mu)
+            # a weight or response that is not finite makes the sum not finite
+            finite = np.isfinite(wz.sum(axis=1))
+            if not finite.all():
+                status[live[~finite]] = FIT_OVERFLOW
+                live, off, c, w, wz = live[finite], off[finite], c[finite], w[finite], wz[finite]
+                counts, ybar, lg = counts[finite], ybar[finite], lg[finite]
+            a = _solve_each(np.matmul(Ut * w[:, None, :], U), np.matmul(Ut, wz[..., None]))
+            new = np.matmul(to_coef, a)[..., 0]
+            converged = (np.abs(new - c).max(axis=1) < tol) & (n_iter > 1)
+            c, xb_live = new, np.matmul(X, new[..., None])[..., 0]
+            coef[live], xb[live], e = c, xb_live, xb_live + off
             separated = np.abs(c).max(axis=1) > SEPARATION_BOUND
-            status[live[separated]] = FIT_SEPARATION
-            converged &= ~separated
-        status[live[converged]] = 0
-        go = status[live] == FIT_NO_CONVERGENCE
-        if not go.all():
-            live, off, c, e = live[go], off[go], c[go], e[go]
+            if separated.any():
+                separated &= lg[:, 0]
+                status[live[separated]] = FIT_SEPARATION
+                converged &= ~separated
+            status[live[converged]] = 0
+            go = status[live] == FIT_NO_CONVERGENCE
+            if not go.all():
+                live, off, c, e = live[go], off[go], c[go], e[go]
+                counts, ybar, lg = counts[go], ybar[go], lg[go]
     return coef, xb, status
+
+
+def batch_mean(eta: np.ndarray, logit: np.ndarray) -> np.ndarray:
+    """The mean of every fit of a batch, bit for bit :func:`link_inverse`'s.
+
+    ``logit`` flags the logit-link fits (the others have the log link),
+    broadcasting against ``eta``.  The batch takes one ``exp``, of -eta
+    under the logit link and of eta under the log link.
+    """
+    ex = np.exp(np.where(logit, -eta, eta))
+    return np.where(logit, 1.0 / (1.0 + ex), ex)
+
+
+def batch_derivative(mu: np.ndarray, logit: np.ndarray) -> np.ndarray:
+    """d mean / d eta of every fit of a batch, bit for bit :func:`mean_derivative`'s."""
+    return np.where(logit, mu * (1.0 - mu), mu)
 
 
 def _solve_each(G: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -330,7 +362,7 @@ def irls_fit(
         X, offset = _with_treatment(X_nuis[pat.rep], dataset.treatment[pat.rep], delta_fixed)
         ybar = pat.ysum[:, outcome_index] / pat.counts
         coefs, xb, status = pattern_irls(
-            PatternDesign.factor(X), pat.counts, ybar, offset[None], spec.link,
+            PatternDesign.factor(X), pat.counts[None], ybar[None], offset[None], spec.link,
             tol=tol, max_iter=max_iter,
         )
         if status[0]:

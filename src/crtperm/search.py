@@ -43,7 +43,9 @@ and reduced over clusters (with several datasets, one such array per
 dataset, stacked).  The kernel owns the nuisance fits: given
 the standard errors, it refits a chain only when its limit has moved
 more than :data:`~crtperm.statistics.REFIT_FRACTION` of one since its
-last fit, and the stale chains of both sides refit in one call.
+last fit, and the stale log and logit chains of both sides, of every
+outcome and of every dataset that shares the pattern design (a chunk of
+model2 or model3 replicates), refit in one call.
 Decision and update are one masked routine over the (2M, J) array,
 :class:`StepRule`, which decides ties with the kernel's rule
 (:func:`~crtperm.statistics.beats`: a permuted |statistic| within

@@ -24,7 +24,6 @@ take whole chunks, so reports are identical for any worker count.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -564,6 +563,10 @@ def run_study(
     # a worker with no chunk to run would only be forked and torn down
     workers = min(workers, len(chunks))
     if workers > 1:
+        # imported here: the process pool and multiprocessing cost every
+        # command's start-up, and one worker needs neither
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             done = list(pool.map(_run_chunk, chunks))
     else:

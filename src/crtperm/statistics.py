@@ -42,9 +42,10 @@ The tables come from two sources:
   total of G * V_c^{-1} (y - mu) with g_p the link-derivative weight;
   a (C, T, T) product and a second ``bincount`` give its table.  The
   cost grows with the number of patterns, not rows; so does a nuisance
-  fit: the stale chains of an outcome refit together in one
-  :func:`crtperm.glm.pattern_irls` call on the same patterns, and
-  nothing per row is formed.
+  fit: the stale chains of every log and logit outcome, and of every
+  stacked dataset that shares the pattern design, refit together in
+  one :func:`crtperm.glm.pattern_irls` call, and one pass builds all
+  their tables; nothing per row is formed.
 
 W_c = (sigma2 I + N_c Lambda)^{-1} and K_c = Lambda W_c are the (T, T)
 period maps of :class:`~crtperm.glm.CellCovariance` (N_c the cell
@@ -74,7 +75,7 @@ import numpy as np
 
 from .data import TrialDataset
 from .glm import (
-    CellCovariance, PatternDesign, fit_error, link_inverse, mean_derivative, nuisance_design,
+    CellCovariance, PatternDesign, batch_derivative, batch_mean, fit_error, nuisance_design,
     pattern_irls,
 )
 
@@ -161,10 +162,12 @@ class StepKernel:
 
     The kernel owns the chains' nuisance fits.  After :meth:`start`, a
     chain refits when its delta has moved more than ``REFIT_FRACTION``
-    of its outcome's standard error in ``ses`` (never, without ``ses``);
-    the stale chains of a log or logit outcome of one dataset refit in
-    one :func:`~crtperm.glm.pattern_irls` call, warm-started from their
-    own coefficients.
+    of its outcome's standard error in ``ses`` (never, without ``ses``).
+    The log and logit chains live in pattern tables (``parts``), one per
+    group of datasets that share a pattern design; each step, the stale
+    chains of a group, whatever their outcome, refit in one
+    :func:`~crtperm.glm.pattern_irls` call, warm-started from their own
+    coefficients.
     """
 
     def __init__(self, dataset: TrialDataset, covariances, n_rows: int, ses=None):
@@ -207,18 +210,19 @@ class StepKernel:
         self.R0, self.HD, self.Dtab = (
             np.broadcast_to(tabs[:, i], (n_rows, J, C, T)) for i in range(3)
         )
-        # (row slice, pattern tables) of each dataset: only log and logit links need them
+        # the pattern tables of the rows' log and logit chains
         self.parts = []
         if self.fitted:
-            part = _PatternTables(dataset, X, D, covariances, self.fitted, n_rows)
-            self.parts.append((slice(0, n_rows), part))
+            self.parts.append(_PatternTables(dataset, X, D, covariances, self.fitted, n_rows))
 
     @classmethod
     def stack(cls, kernels: list["StepKernel"]) -> "StepKernel":
         """One kernel whose rows are the rows of the started ``kernels``, in order.
 
         Each dataset keeps its own tables, fits and refit rule, so every
-        row's statistics are those its own kernel gives.
+        row's statistics are those its own kernel gives.  The pattern
+        tables of datasets that share a pattern design join, so that
+        their stale chains refit in one call.
         """
         first = kernels[0]
         for k in kernels[1:]:
@@ -227,19 +231,25 @@ class StepKernel:
         kernel = copy.copy(first)
         for name in ("tol", "R0", "HD", "Dtab", "refit_at"):
             setattr(kernel, name, np.concatenate([getattr(k, name) for k in kernels]))
-        kernel.parts, offset = [], 0
+        groups: list[list[_PatternTables]] = []
+        offset = 0
         for k in kernels:
-            kernel.parts += [
-                (slice(offset + rows.start, offset + rows.stop), part) for rows, part in k.parts
-            ]
+            for part in k.parts:
+                part = part.shifted(offset)
+                group = next((g for g in groups if g[0].joins(part)), None)
+                if group is None:
+                    groups.append([part])
+                else:
+                    group.append(part)
             offset += len(k.refit_at)
+        kernel.parts = [_PatternTables.join(group) for group in groups]
         return kernel
 
     def start(self, limits: np.ndarray) -> None:
         """Fit every chain at its starting delta; the first fit that fails raises its error."""
         self.refit_at = limits.copy()
-        for rows, part in self.parts:
-            part.start(limits[rows], self.refit_at[rows])
+        for part in self.parts:
+            part.start(limits, self.refit_at)
 
     def tables(self, limits: np.ndarray) -> np.ndarray:
         """Cell tables of every chain at its candidate delta, shape (rows, J, C, T).
@@ -257,10 +267,8 @@ class StepKernel:
         if not self.parts:
             return tab
         failed = np.zeros(limits.shape, dtype=bool)
-        for rows, part in self.parts:
-            tab[rows, self.fitted], failed[rows, self.fitted] = part.tables(
-                limits[rows], stale[rows], self.refit_at[rows]
-            )
+        for part in self.parts:
+            tab[part.at], failed[part.at] = part.tables(limits, stale, self.refit_at)
         tab[failed] = np.nan
         return tab
 
@@ -281,79 +289,137 @@ class StepKernel:
 
 
 class _PatternTables:
-    """The log- and logit-link chains of one dataset: their fits and tables on its row patterns.
+    """The log- and logit-link chains of datasets of one pattern design: fits and tables.
 
-    Outcome i of ``fitted`` is the i-th log or logit outcome; a fit of
-    row m at delta writes delta into ``refit_at[m, fitted[i]]``, the
-    refit record of the kernel's rows this dataset holds.
+    A chain is a (fitted outcome, row) pair: outcome i of ``fitted`` is
+    the i-th log or logit outcome, and ``rows`` are the kernel rows held
+    here.  The datasets share the pattern design ``design`` and the
+    patterns' cells; their counts, treatment, outcome sums and working
+    covariances are per row.  A single dataset's per-row arrays are
+    broadcast views of its own; :meth:`join` stacks several datasets'
+    into one.  A fit of chain (i, m) at delta writes delta into
+    ``refit_at[rows[m], fitted[i]]``, the kernel's refit record.
     """
+
+    #: the per-row arrays and the axis of their rows
+    ROW_AXES = {"rows": 0, "Dp": 0, "counts": 0, "ysum": 1, "ybar": 1,
+                "K": 1, "sigma2": 1, "coef": 1, "eta_base": 1}
 
     def __init__(self, dataset: TrialDataset, X, D, covariances, fitted, n_rows):
         specs = dataset.outcome_specs
         pat = dataset.patterns
-        C, T = dataset.design.n_clusters, dataset.design.n_periods
-        self.fitted = fitted
+        F, P = len(fitted), len(pat.rep)
+        self.fitted = np.array(fitted)
         self.names = [specs[j].name for j in fitted]
-        self.links = [specs[j].link for j in fitted]
-        self.n_rows = n_rows
-        self.cells = (C, T)
+        self.link_names = np.array([specs[j].link for j in fitted])
+        self.logit = (self.link_names == "logit")[:, None, None]
+        self.cells = (dataset.design.n_clusters, dataset.design.n_periods)
         self.design = PatternDesign.factor(X[pat.rep])
-        self.Dp = D[pat.rep]
-        self.ysum = pat.ysum[:, fitted].T[:, None, :]
-        self.ybar = self.ysum[:, 0] / pat.counts
-        self.counts = pat.counts
         self.cell = pat.cell
-        chains = len(fitted) * n_rows
-        self.n_bins = chains * C * T
-        self.keys = (np.arange(chains)[:, None] * (C * T) + pat.cell[None, :]).ravel()
+        self.rows = np.arange(n_rows)
+        self.Dp = np.broadcast_to(D[pat.rep], (n_rows, P))
+        self.counts = np.broadcast_to(pat.counts, (n_rows, P))
+        ysum = pat.ysum[:, fitted].T[:, None, :]
+        self.ysum = np.broadcast_to(ysum, (F, n_rows, P))
+        self.ybar = np.broadcast_to(ysum / pat.counts, (F, n_rows, P))
         self.weighted = covariances is not None
         if self.weighted:
-            self.K = np.stack([covariances[j].K for j in fitted])[:, None]
-            self.sigma2 = [covariances[j].spec.sigma2 for j in fitted]
-        self.coef = np.empty((len(fitted), n_rows, X.shape[1]))
-        self.eta_base = np.empty((len(fitted), n_rows) + self.Dp.shape)
+            K = np.stack([covariances[j].K for j in fitted])[:, None]
+            self.K = np.broadcast_to(K, (F, n_rows) + K.shape[2:])
+            sigma2 = np.array([covariances[j].spec.sigma2 for j in fitted])
+            self.sigma2 = np.broadcast_to(sigma2[:, None, None], (F, n_rows, 1))
+        self.coef = np.empty((F, n_rows, X.shape[1]))
+        self.eta_base = np.empty((F, n_rows, P))
+        self._index()
+
+    def _index(self) -> None:
+        """The chains' entries of the kernel's (rows, J) arrays, and the bins of their cells.
+
+        Chain (i, m) is number i * rows + m.
+        """
+        C, T = self.cells
+        chains = len(self.fitted) * len(self.rows)
+        self.at = np.ix_(self.rows, self.fitted)
+        self.n_bins = chains * C * T
+        self.keys = (np.arange(chains)[:, None] * (C * T) + self.cell[None, :]).ravel()
+
+    def shifted(self, offset: int) -> "_PatternTables":
+        """These tables for the kernel rows ``offset`` further on."""
+        part = copy.copy(self)
+        part.rows = self.rows + offset
+        part._index()
+        return part
+
+    def joins(self, other: "_PatternTables") -> bool:
+        """Whether ``other``'s chains can share these tables: one pattern design and links."""
+        return (
+            self.weighted == other.weighted
+            and np.array_equal(self.link_names, other.link_names)
+            and np.array_equal(self.cell, other.cell)
+            and np.array_equal(self.design.X, other.design.X)
+        )
+
+    @classmethod
+    def join(cls, parts: list["_PatternTables"]) -> "_PatternTables":
+        """One set of tables holding the chains of every part, which all join the first."""
+        if len(parts) == 1:
+            return parts[0]
+        joined = copy.copy(parts[0])
+        for name, axis in cls.ROW_AXES.items():
+            if hasattr(joined, name):
+                # C order: the zero-stride rows of a broadcast view would come
+                # last in the concatenation's own order, and a matmul on
+                # matrices of other strides skips BLAS and rounds differently
+                rows = np.concatenate([getattr(p, name) for p in parts], axis)
+                setattr(joined, name, np.ascontiguousarray(rows))
+        joined._index()
+        return joined
 
     def start(self, limits: np.ndarray, refit_at: np.ndarray) -> None:
-        for i, j in enumerate(self.fitted):
-            status = self._fit(i, np.arange(self.n_rows), limits[:, j], None, refit_at)
-            if status.any():
-                raise fit_error(status[status > 0][0], self.names[i])
+        """Fit every chain at its row's limit in ``limits`` (the kernel's rows)."""
+        i, m = (a.ravel() for a in np.indices(self.eta_base.shape[:2]))
+        status = self._fit(i, m, limits[self.rows[m], self.fitted[i]], None, refit_at)
+        if status.any():
+            k = np.flatnonzero(status)[0]
+            raise fit_error(status[k], self.names[i[k]])
 
-    def _fit(self, i, chains, deltas, start, refit_at) -> np.ndarray:
-        """Fit fitted outcome i's ``chains`` at ``deltas`` in one call; keep the good fits."""
+    def _fit(self, i, m, deltas, start, refit_at) -> np.ndarray:
+        """Fit chains (i, m) at ``deltas`` in one call; keep the good fits."""
         coef, xb, status = pattern_irls(
-            self.design, self.counts, self.ybar[i], deltas[:, None] * self.Dp, self.links[i], start
+            self.design, self.counts[m], self.ybar[i, m], deltas[:, None] * self.Dp[m],
+            self.link_names[i], start,
         )
-        good = status == 0
-        self.coef[i, chains[good]] = coef[good]
-        self.eta_base[i, chains[good]] = xb[good]
-        refit_at[chains[good], self.fitted[i]] = deltas[good]
+        if status.any():
+            good = status == 0
+            i, m, coef, xb, deltas = i[good], m[good], coef[good], xb[good], deltas[good]
+        self.coef[i, m] = coef
+        self.eta_base[i, m] = xb
+        refit_at[self.rows[m], self.fitted[i]] = deltas
         return status
 
     def tables(self, limits, stale, refit_at) -> tuple[np.ndarray, np.ndarray]:
-        """Refit the stale chains, then the tables (rows, F, C, T) and failed refits (rows, F)."""
-        F, C, T = len(self.fitted), *self.cells
-        failed = np.zeros((self.n_rows, F), dtype=bool)
-        for i, j in enumerate(self.fitted):
-            chains = np.flatnonzero(stale[:, j])
-            if chains.size:
-                status = self._fit(i, chains, limits[chains, j], self.coef[i, chains], refit_at)
-                failed[chains[status > 0], i] = True
+        """Refit the stale chains, then the tables (rows, F, C, T) and failed refits (rows, F).
+
+        ``limits``, ``stale`` and ``refit_at`` are the kernel's, every row.
+        """
+        F, R = self.eta_base.shape[:2]
+        C, T = self.cells
+        limits = limits[self.at]
+        i, m = np.nonzero(stale[self.at].T)
+        failed = np.zeros((F, R), dtype=bool)
+        if i.size:
+            failed[i, m] = self._fit(i, m, limits[m, i], self.coef[i, m], refit_at) > 0
         # far-out limits overflow the mean or drive its derivative to 0; the
         # statistic is then not finite
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            eta = self.eta_base + limits[:, self.fitted].T[:, :, None] * self.Dp
-            mu = np.empty_like(eta)
-            for i, link in enumerate(self.links):
-                mu[i] = link_inverse(eta[i], link)
+            eta = self.eta_base + limits.T[:, :, None] * self.Dp
+            mu = batch_mean(eta, self.logit)
             resid = self.ysum - self.counts * mu
             sums = np.bincount(self.keys, weights=resid.ravel(), minlength=self.n_bins)
             if self.weighted:
                 # g_p (r_p - count_p [K_c R_c]_cell(p)) / sigma2, R the cells of r
-                R = sums.reshape((F, self.n_rows, C, T, 1))
-                KR = np.matmul(self.K, R).reshape(F, self.n_rows, C * T)
+                KR = np.matmul(self.K, sums.reshape((F, R, C, T, 1))).reshape(F, R, C * T)
                 resid -= self.counts * KR[..., self.cell]
-                for i, link in enumerate(self.links):
-                    resid[i] *= 1.0 / (self.sigma2[i] * mean_derivative(mu[i], link))
+                resid *= 1.0 / (self.sigma2 * batch_derivative(mu, self.logit))
                 sums = np.bincount(self.keys, weights=resid.ravel(), minlength=self.n_bins)
-        return sums.reshape((F, self.n_rows) + self.cells).swapaxes(0, 1), failed
+        return sums.reshape((F, R) + self.cells).swapaxes(0, 1), failed.T

@@ -1,11 +1,14 @@
 """Command-line surface: exit codes, schemas, determinism."""
 
+import builtins
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import crtperm.cli
 from crtperm.cli import main
 
 from conftest import make_gaussian_dataset
@@ -434,6 +437,98 @@ class TestUnreadableFiles:
         code, err = self._run(capsys, ["simulate", "--study", str(study), "--out", str(tmp_path)])
         assert code == 2
         assert f"config error: cannot write {tmp_path}: Is a directory" in err
+
+    @staticmethod
+    def _spy(monkeypatch, name):
+        """Record every call of the CLI's ``name`` instead of making it."""
+        calls = []
+        monkeypatch.setattr(crtperm.cli, name, lambda *a, **k: calls.append(a))
+        return calls
+
+    @pytest.mark.parametrize("option", ["--out", "--trace"])
+    def test_analyze_checks_outputs_before_the_analysis(self, tmp_path, capsys, monkeypatch,
+                                                        option):
+        data, _ = _write_data(tmp_path, n_outcomes=1)
+        config = _analysis_config(tmp_path, [{"name": "y1", "family": "gaussian"}],
+                                  methods=["none"])
+        calls = self._spy(monkeypatch, "analyze")
+        bad = tmp_path / "missing" / "file"
+        paths = {"--out": str(tmp_path / "o.json"), "--trace": str(tmp_path / "t.csv"),
+                 option: str(bad)}
+        code, err = self._run(capsys, ["analyze", "--data", str(data), "--config", str(config),
+                                       *[x for kv in paths.items() for x in kv]])
+        assert code == 2
+        assert f"config error: cannot write {bad}: No such file or directory" in err
+        assert calls == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "trial.csv"]
+
+    @pytest.mark.parametrize("option", ["--out", "--dump"])
+    def test_simulate_checks_outputs_before_the_study(self, tmp_path, capsys, monkeypatch,
+                                                      option):
+        study = _study_file(tmp_path, replicates=1)
+        calls = self._spy(monkeypatch, "run_study")
+        paths = {"--out": str(tmp_path / "o.json"), "--dump": str(tmp_path / "d.csv"),
+                 option: str(tmp_path)}
+        code, err = self._run(capsys, ["simulate", "--study", str(study),
+                                       *[x for kv in paths.items() for x in kv]])
+        assert code == 2
+        assert f"config error: cannot write {tmp_path}: Is a directory" in err
+        assert calls == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["study.json"]
+
+    def test_failed_run_keeps_existing_outputs_and_adds_none(self, tmp_path, capsys):
+        # the outputs are checked first, then the data are found missing
+        config = _analysis_config(tmp_path, [{"name": "y1", "family": "gaussian"}],
+                                  methods=["none"])
+        out = tmp_path / "o.json"
+        out.write_text("earlier results\n", encoding="utf-8")
+        code, err = self._run(capsys, ["analyze", "--data", str(tmp_path / "none.csv"),
+                                       "--config", str(config), "--out", str(out),
+                                       "--trace", str(tmp_path / "t.csv")])
+        assert code == 3
+        assert out.read_text(encoding="utf-8") == "earlier results\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "o.json"]
+
+    def test_failed_run_creates_no_dangling_link_target(self, tmp_path, capsys):
+        config = _analysis_config(tmp_path, [{"name": "y1", "family": "gaussian"}],
+                                  methods=["none"])
+        out = tmp_path / "o.json"
+        out.symlink_to(tmp_path / "target.json")
+        code, _ = self._run(capsys, ["analyze", "--data", str(tmp_path / "none.csv"),
+                                     "--config", str(config), "--out", str(out)])
+        assert code == 3
+        assert out.is_symlink() and not out.exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "o.json"]
+
+    def test_dangling_link_into_a_missing_directory(self, tmp_path, capsys, monkeypatch):
+        calls = self._spy(monkeypatch, "analyze")
+        out = tmp_path / "o.json"
+        out.symlink_to(tmp_path / "missing" / "target.json")
+        code, err = self._analyze(tmp_path, capsys, out=out)
+        assert code == 2
+        assert f"config error: cannot write {out}: No such file or directory" in err
+        assert calls == []
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_output_check_opens_no_output(self, tmp_path, capsys, monkeypatch):
+        # opening a pipe to probe it would hand its reader an EOF before the run
+        config = _analysis_config(tmp_path, [{"name": "y1", "family": "gaussian"}],
+                                  methods=["none"])
+        out = tmp_path / "o.pipe"
+        os.mkfifo(out)
+        opened, real_open = [], builtins.open
+
+        def spy_open(file, *args, **kwargs):
+            if os.fspath(file) == str(out):
+                opened.append(file)
+                raise OSError("opened the output")
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", spy_open)
+        code, _ = self._run(capsys, ["analyze", "--data", str(tmp_path / "none.csv"),
+                                     "--config", str(config), "--out", str(out)])
+        assert code == 3
+        assert opened == []
 
 
 class TestEntryPoint:

@@ -10,14 +10,23 @@ from scipy.stats import norm
 from crtperm.data import OutcomeSpec, TrialDataset
 from crtperm.errors import DataValidationError, NumericalError
 from crtperm.glm import (
+    FIT_NO_CONVERGENCE,
+    FIT_OVERFLOW,
+    FIT_SEPARATION,
     CovarianceSpec,
+    PatternDesign,
+    batch_derivative,
+    batch_mean,
     build_cluster_covariance,
     estimate_variance_components,
     fgls_gaussian,
     irls_fit,
+    link_inverse,
     logistic,
+    mean_derivative,
     naive_wald,
     nuisance_design,
+    pattern_irls,
 )
 
 from conftest import cluster_rows, dense_covariance, make_gaussian_dataset, make_mixed_dataset
@@ -146,9 +155,9 @@ class TestIrlsFit:
             treatment=[0, 0, 1, 1, 0, 0],
             family="poisson",
         )
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(NumericalError, match="overflowed"):
-                irls_fit(ds, 0, delta_fixed=1e6)
+        # the package's RuntimeWarning filter turns a leaked overflow warning into a failure
+        with pytest.raises(NumericalError, match="overflowed"):
+            irls_fit(ds, 0, delta_fixed=1e6)
 
     def test_non_convergence_raises(self):
         rng = np.random.default_rng(3)
@@ -253,6 +262,60 @@ class TestPatternIrls:
         np.testing.assert_allclose(
             pinned.linear_predictor, X_nuis @ beta + 0.3 * D, rtol=0, atol=1e-10
         )
+
+
+    @staticmethod
+    def _mixed_batch():
+        """Log and logit fits on one design, each with its own counts, outcomes and offset."""
+        rng = np.random.default_rng(5)
+        P = 10
+        X = np.column_stack([np.ones(P), np.arange(P) % 2, rng.normal(size=P)])
+        D = (np.arange(P) >= 5).astype(float)
+        links = np.array(["log", "logit", "log", "logit", "log", "logit"])
+        counts = rng.integers(1, 6, (6, P)).astype(float)
+        ybar = np.vstack([
+            rng.poisson(2.0, P), rng.integers(0, 2, P) * 0.5 + 0.25,
+            rng.poisson(2.0, P), X[:, 1],  # the second column separates the fourth fit
+            rng.poisson(3.0, P), rng.uniform(0.1, 0.9, P),
+        ]).astype(float)
+        # the third fit's offset overflows its mean
+        offsets = np.array([0.3, -0.2, 1e6, 0.0, 0.1, 0.4])[:, None] * D
+        start = np.zeros((6, 3))
+        start[3] = [-15.0, 29.0, 0.0]  # one step short of the separation bound
+        start[4] = [6.0, -4.0, 3.0]  # far from its fit: still iterating at max_iter
+        return PatternDesign.factor(X), counts, ybar, offsets, links, start
+
+    @pytest.mark.parametrize("warm", [True, False], ids=["warm-start", "cold-start"])
+    def test_mixed_batch_equals_each_fit_alone(self, warm):
+        # a fit's iterates do not depend on the others in its batch: not on
+        # their links, counts or outcomes, nor on when they stop
+        design, counts, ybar, offsets, links, start = self._mixed_batch()
+        start = start if warm else None
+        coef, xb, status = pattern_irls(design, counts, ybar, offsets, links, start, max_iter=8)
+        if warm:
+            assert status.tolist() == [0, 0, FIT_OVERFLOW, FIT_SEPARATION, FIT_NO_CONVERGENCE, 0]
+        for b, link in enumerate(links):
+            one = slice(b, b + 1)
+            alone = pattern_irls(design, counts[one], ybar[one], offsets[one], str(link),
+                                 None if start is None else start[one], max_iter=8)
+            assert np.array_equal(coef[b], alone[0][0])
+            assert np.array_equal(xb[b], alone[1][0])
+            assert status[b] == alone[2][0]
+
+    def test_batch_mean_and_derivative_are_each_links_bits(self):
+        # the one-exp mean of a mixed batch against link_inverse and
+        # mean_derivative, out to overflow, exact 0 and 1, inf and nan
+        rng = np.random.default_rng(3)
+        tails = [0.0, -0.0, 1e-300, 36.7, 37.0, 709.7, 709.8, 745.2, 1e6, np.inf, np.nan]
+        eta = np.concatenate([rng.normal(0.0, 30.0, 400), tails, np.negative(tails)])
+        logit = np.array([[False], [True]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            mu = batch_mean(np.vstack([eta, eta]), logit)
+            deriv = batch_derivative(mu, logit)
+            for row, link in enumerate(["log", "logit"]):
+                assert np.array_equal(mu[row], link_inverse(eta, link), equal_nan=True)
+                assert np.array_equal(deriv[row], mean_derivative(mu[row], link),
+                                      equal_nan=True)
 
 
 class TestVarianceComponents:

@@ -189,19 +189,20 @@ class TestBuildStatMatrix:
         assert np.array_equal(a.values, b.values)
 
     def test_nuisance_computed_once_per_outcome(self, monkeypatch):
-        # one null fit per log/logit outcome; identity outcomes need none
+        # one null fit per log/logit outcome, all in one call; identity
+        # outcomes need none
         ds = make_mixed_dataset(baseline=True, seed=8)
         calls = []
         original = stat_mod.pattern_irls
 
         def spy(X, counts, ybar, offsets, link, start=None, **kwargs):
-            calls.append((link, len(offsets), not offsets.any(), start))
+            calls.append((list(link), len(offsets), not offsets.any(), start))
             return original(X, counts, ybar, offsets, link, start, **kwargs)
 
         monkeypatch.setattr(stat_mod, "pattern_irls", spy)
         build_stat_matrix(ds, PermutationPlan(n_draws=60, seed=1, enumerate_exact=False))
         assert [spec.link for spec in ds.outcome_specs] == ["identity", "log", "logit"]
-        assert calls == [("log", 1, True, None), ("logit", 1, True, None)]
+        assert calls == [(["log", "logit"], 2, True, None)]
 
 
 class TestMcPValue:

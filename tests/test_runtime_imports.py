@@ -1,8 +1,10 @@
 """The package runs on numpy and the standard library alone.
 
 scipy is a test dependency only: importing it would cost the CLI most of
-its start-up time.  The check runs in a fresh interpreter, because the
-test process itself imports scipy for its oracles.
+its start-up time.  Nor does a command that runs in one process import
+the process pool or ``multiprocessing``.  The checks run in a fresh
+interpreter, because the test process itself imports scipy for its
+oracles.
 """
 
 import json
@@ -30,6 +32,8 @@ codes = [
 assert codes == [0, 0], codes
 loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 assert not loaded, loaded
+pools = sorted(m for m in ("concurrent.futures.process", "multiprocessing") if m in sys.modules)
+assert not pools, pools
 """
 
 

@@ -25,6 +25,7 @@ from crtperm.search import (
 )
 from crtperm.permutation import observed_subset, sign_block
 import crtperm.statistics as stat_mod
+from crtperm.simulate import DgpSpec, gen_model3
 from crtperm.statistics import StepKernel
 
 from conftest import (
@@ -482,6 +483,65 @@ class TestStepKernel:
                 want = _reference_stats(ds, kind, specs, refit_at, limits, signs)
                 np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
                 assert np.array_equal(np.abs(got[1]), np.abs(got[0]))
+
+
+class TestStackedKernel:
+    """A stack of started kernels gives every row the statistics of its own kernel, bit for bit."""
+
+    N_ROWS = 4
+
+    def _started(self, ds, covs, seed):
+        fits = [irls_fit(ds, j) for j in range(ds.n_outcomes)]
+        theta = np.array([f.treatment_effect for f in fits])
+        se = np.array([f.naive_se for f in fits])
+        rng = np.random.default_rng(seed)
+        limits = theta + rng.uniform(-2.0, 2.0, (self.N_ROWS, ds.n_outcomes)) * se
+        kernel = StepKernel(ds, covs, self.N_ROWS, se)
+        kernel.start(limits)
+        return kernel, limits, se
+
+    def _assert_stack_matches(self, datasets, covariances, n_parts):
+        inputs = list(enumerate(zip(datasets, covariances)))
+        started = [self._started(ds, covs, b) for b, (ds, covs) in inputs]
+        own = [kernel for kernel, _, _ in started]
+        # the stack gets kernels of its own, so that each side keeps its own fits
+        stacked = StepKernel.stack([self._started(ds, covs, b)[0] for b, (ds, covs) in inputs])
+        assert len(stacked.parts) == n_parts
+        limits = [lim for _, lim, _ in started]
+        rng = np.random.default_rng(9)
+        for _ in range(6):
+            # steps of a few tenths of a standard error: most chains refit
+            limits = [lim + rng.normal(0.0, 0.4, lim.shape) * se
+                      for lim, (_, _, se) in zip(limits, started)]
+            signs = []
+            for ds in datasets:
+                drawn = rng.permutation(ds.n_clusters)[:ds.n_clusters // 2]
+                signs.append(sign_block(ds.design, [observed_subset(ds), drawn]))
+            want = [k.evaluate(lim, sg) for k, lim, sg in zip(own, limits, signs)]
+            got = stacked.evaluate(np.concatenate(limits), np.stack(signs))
+            assert np.array_equal(got, np.concatenate(want, axis=1), equal_nan=True)
+            assert np.array_equal(stacked.refit_at, np.concatenate([k.refit_at for k in own]))
+
+    @pytest.mark.parametrize("kind", ["unweighted", "weighted"])
+    def test_model3_replicates_join(self, kind):
+        # one pattern design, unequal per-dataset fits, treatment and (weighted)
+        # working covariances: the replicates' chains share one set of tables
+        spec = DgpSpec(model="model3", clusters_per_arm=4, n_per_cluster=6,
+                       delta=(0.0, 0.0, 0.0), mu=(-0.5, -0.5, -0.5),
+                       sigma2=(1.0, 1.0, 1.0), tau2=(0.05, 0.05, 0.05))
+        datasets = [gen_model3(spec, np.random.default_rng(seed)) for seed in range(3)]
+        covariances = [None] * 3
+        if kind == "weighted":
+            covariances = [
+                [build_cluster_covariance(s, ds.cell_counts) for s in _working_specs(ds, b)]
+                for b, ds in enumerate(datasets)
+            ]
+        self._assert_stack_matches(datasets, covariances, n_parts=1)
+
+    def test_datasets_of_other_designs_stay_apart(self):
+        # a continuous covariate gives each dataset its own pattern design
+        datasets = [make_mixed_dataset(True, seed=s, covariate="continuous") for s in (1, 2)]
+        self._assert_stack_matches(datasets, [None, None], n_parts=2)
 
 
 #: every limit, the trace's ends and the fallback warnings of three

@@ -1,5 +1,6 @@
 """Generator moment checks and study-driver behaviour."""
 
+import concurrent.futures
 import json
 from pathlib import Path
 
@@ -334,7 +335,8 @@ class TestStudyChunks:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(simulate, "ProcessPoolExecutor", Recorder)
+        # the study imports the pool only when it starts one
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
         two_chunks = run_study(self._study(REPLICATE_CHUNK + 3), workers=64)
         one_chunk = run_study(self._study(4), workers=64)
         assert asked == [2]
