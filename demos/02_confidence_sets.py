@@ -23,13 +23,14 @@ dataset = gen_model1(spec, rng)
 point_fits = [irls_fit(dataset, j) for j in range(2)]
 print("point estimates:", [round(f.treatment_effect, 3) for f in point_fits])
 
-sets = search_all_methods(
-    dataset,
+# one entry per searched dataset: here the one trial's sets by method
+(sets,) = search_all_methods(
+    [dataset],
     ["none", "bonferroni", "holm", "romano_wolf"],
     alpha=0.05,
     Q=2000,
-    seed=5,
-    point_fits=point_fits,
+    seeds=[5],
+    point_fits=[point_fits],
 )
 
 print(f"\n{'method':>12s}  {'y1 interval':>20s}  {'y2 interval':>20s}  {'widths':>14s}")

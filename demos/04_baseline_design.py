@@ -16,7 +16,7 @@ from crtperm import (
     adjust,
     build_stat_matrix,
     gen_model3,
-    rm_search,
+    search_all_methods,
 )
 
 rng = np.random.default_rng(3)
@@ -39,7 +39,7 @@ for s in dataset.outcome_specs:
 
 matrix = build_stat_matrix(dataset, PermutationPlan(n_draws=1000, seed=8))
 adj = adjust(matrix, "romano_wolf")
-cs = rm_search(dataset, "romano_wolf", Q=2000, seed=9)
+cs = search_all_methods([dataset], ["romano_wolf"], Q=2000, seeds=[9])[0]["romano_wolf"]
 
 print(f"\n{'outcome':>8s}  {'estimate':>9s}  {'adj p':>7s}  {'95% set':>20s}")
 for j, s in enumerate(dataset.outcome_specs):

@@ -24,7 +24,7 @@ from .errors import (
 )
 from .glm import irls_fit
 from .permutation import PermutationPlan, build_stat_matrix
-from .search import rm_search, search_all_methods
+from .search import search_all_methods
 from .simulate import DgpSpec, StudySpec, gen_model1, gen_model3, run_study
 
 __version__ = "0.1.0"

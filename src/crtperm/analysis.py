@@ -93,16 +93,18 @@ def analyze(
     trace_rows: list | None = [] if collect_trace else None
     searches = {}
     if perm_methods:
-        searches = search_all_methods(
-            dataset,
+        (searches,) = search_all_methods(
+            [dataset],
             perm_methods,
             alpha=config.alpha,
             Q=config.n_search_steps,
-            seed=search_seed,
-            covariances=covariances,
-            point_fits=point_fits,
+            seeds=[search_seed],
+            covariances=[covariances],
+            point_fits=[point_fits],
             trace=collect_trace,
         )
+        if isinstance(searches, Exception):
+            raise searches
         if collect_trace:
             for m in perm_methods:
                 trace_rows.extend((m,) + row for row in searches[m].trace)

@@ -118,10 +118,11 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 def cmd_simulate(args: argparse.Namespace) -> int:
     _check_writable(args.out, args.dump)
     raw = _read_json(args.study)
-    if args.replicates is not None:
-        raw["replicates"] = args.replicates
-    if args.seed is not None:
-        raw["seed"] = args.seed
+    # anything but an object is refused by StudySpec.from_dict
+    if isinstance(raw, dict):
+        for key, value in (("replicates", args.replicates), ("seed", args.seed)):
+            if value is not None:
+                raw[key] = value
     study = StudySpec.from_dict(raw)
     workers = resolve_workers(args.threads)
     report = run_study(study, workers=workers, keep_replicates=bool(args.dump))

@@ -20,7 +20,10 @@ The JSON layout understood by :meth:`AnalysisConfig.from_dict`::
 
 ``alpha`` must lie in (0, 0.5), ``seed`` must be non-negative, the
 counts must be whole numbers, and ``n_search_steps`` must be at least
-100; a config that breaks any of these is a :class:`ConfigError`.
+100.  Each column role names one column (``time`` may be left out),
+``covariates`` is a list of names, the outcome names are distinct
+strings, and ``methods`` is a non-empty list without repeats.  A config that breaks
+any of these is a :class:`ConfigError`.
 ``sided`` may be left out; the only value accepted is ``"two_sided"``,
 because the confidence-limit search is two-sided and the p-values
 must test the same hypotheses.
@@ -98,9 +101,13 @@ def validate_run_settings(
     """
     if not isinstance(methods, (list, tuple)):
         raise ConfigError(f"methods must be a list of method names, got {methods!r}")
+    if not methods:
+        raise ConfigError("methods must name at least one method")
     for m in methods:
         if m not in METHODS:
             raise ConfigError(f"unknown method: {m!r}")
+    if len(set(methods)) < len(methods):
+        raise ConfigError(f"methods must not repeat a method, got {list(methods)!r}")
     if not 0 < alpha < 0.5:
         raise ConfigError(f"alpha must be in (0, 0.5), got {alpha}")
     if seed < 0:
@@ -158,6 +165,9 @@ class AnalysisConfig:
             self.alpha, self.methods, self.seed, self.n_permutations, self.n_search_steps
         )
         self.methods = tuple(self.methods)
+        names = [spec.name for spec in self.outcome_specs]
+        if len(set(names)) < len(names):
+            raise ConfigError(f"outcome names must be unique, got {names!r}")
         if self.statistic not in STATISTIC_KINDS:
             raise ConfigError(f"unknown statistic kind: {self.statistic!r}")
         if self.covariance is not None and self.statistic != "weighted":
@@ -195,11 +205,24 @@ class AnalysisConfig:
                 raise
             except Exception as exc:
                 raise ConfigError(str(exc)) from None
+            if not isinstance(specs[-1].name, str):
+                raise ConfigError(f"outcome name must be a string, got {specs[-1].name!r}")
+        roles = {key: _require(columns, key) for key in ("cluster", "treatment")}
+        if columns.get("time") is not None:
+            roles["time"] = columns["time"]
+        for key, value in roles.items():
+            if not isinstance(value, str):
+                raise ConfigError(f"columns.{key} must be a column name, got {value!r}")
+        covariates = columns.get("covariates", [])
+        if not isinstance(covariates, list) or not all(isinstance(c, str) for c in covariates):
+            raise ConfigError(
+                f"columns.covariates must be a list of column names, got {covariates!r}"
+            )
         return cls(
-            cluster_col=_require(columns, "cluster"),
-            treatment_col=_require(columns, "treatment"),
-            time_col=columns.get("time"),
-            covariate_cols=tuple(columns.get("covariates", ())),
+            cluster_col=roles["cluster"],
+            treatment_col=roles["treatment"],
+            time_col=roles.get("time"),
+            covariate_cols=tuple(covariates),
             outcome_specs=tuple(specs),
             alpha=_number(d, "alpha", 0.05),
             methods=d.get("methods", PERMUTATION_METHODS),

@@ -193,10 +193,8 @@ def build_stat_matrix(
     grows with the number of allocations, not with outcomes times
     allocations.
     """
-    kernel = StepKernel(dataset, covariances, 1)
     null = np.zeros((1, dataset.n_outcomes))
-    kernel.start(null)
-    tables = kernel.tables(null)[0]
+    tables = StepKernel(dataset, covariances, null).tables(null)[0]
 
     design = dataset.design
     exact = plan.use_enumeration(design)

@@ -25,15 +25,17 @@ int8 block), and keeps its own nuisance fits, so its limits are those
 of a side searched alone.  The draws never depend on the method, so all
 methods are searched together on identical draws.
 
-Several datasets of one cell layout and outcome links (a chunk of study
-replicates) search in the same loop: their chain arrays are stacked,
-dataset by dataset, into one array of 2M rows per dataset.  Each keeps
-its own streams, keyed by its own seed, its own point estimates and
-its own nuisance fits, so its limits are bit for bit those of its
-search alone; stacking only pays the per-step cost of the statistic and
-the update once for the whole chunk.  :mod:`crtperm.simulate` fixes its
-chunks by replicate index, never by worker, and workers take whole
-chunks, so a study report is the same for any worker count.
+:func:`search_all_methods`, the one entry point, takes a list of
+datasets of one cell layout and outcome links (an analysis passes its
+one dataset, a study a chunk of replicates) and searches them in the
+same loop: their chain arrays are stacked, dataset by dataset, into one
+array of 2M rows per dataset.  Each keeps its own streams, keyed by its
+own seed, its own point estimates and its own nuisance fits, so its
+limits are bit for bit those of its search alone; stacking only pays
+the per-step cost of the statistic and the update once for the whole
+chunk.  :mod:`crtperm.simulate` fixes its chunks by replicate index,
+never by worker, and workers take whole chunks, so a study report is
+the same for any worker count.
 
 One step evaluates every chain at once with the statistic kernel of
 :mod:`crtperm.statistics` (the kernel the permutation matrix uses at
@@ -216,35 +218,53 @@ class ConfidenceSet:
 
     lower: np.ndarray
     upper: np.ndarray
-    alpha: float
-    method: str
-    Q: int
-    seed: int
     point_estimates: np.ndarray
     trace: list | None = field(default=None, repr=False)
 
 
-def _search_limits(
+def search_all_methods(
     datasets: list[TrialDataset],
     methods: list[str],
-    alpha: float,
-    Q: int,
-    seeds: list[int],
-    covariances: list,
-    point_fits: list,
-    trace: bool,
+    alpha: float = 0.05,
+    Q: int = 2000,
+    seeds: list[int] | None = None,
+    covariances: list[list[CellCovariance] | None] | None = None,
+    point_fits: list[list[FittedMeanModel] | None] | None = None,
+    trace: bool = False,
 ) -> list[dict[str, ConfidenceSet] | Exception]:
-    """Step the chains of several methods and datasets together on each dataset's draws.
+    """Locate simultaneous confidence limits of every method for every dataset.
 
-    Dataset b's rows are the (2M, J) chain array of a search of b
-    alone, and the arrays are stacked in order.  A dataset whose search
-    cannot start (a point or starting nuisance fit fails) gets the
-    error in place of its confidence sets, and the others search on.
+    The datasets share one cell layout and outcome links, as a chunk of
+    study replicates does; an analysis passes its one dataset.  For
+    each, the upper and the lower chain of every method and outcome
+    step together for Q steps on that dataset's draws, and one loop
+    moves the chains of every dataset.  The chains draw from streams
+    keyed by (``seeds[b]``, side), so all methods see identical
+    permutation sequences.  At every step a chain re-estimates its
+    nuisance parameters only when its candidate limit has drifted more
+    than a tenth of a standard error since its last refit; the test
+    statistics are re-evaluated at the exact candidate value every step.
+
+    ``seeds``, ``covariances`` and ``point_fits`` hold one entry per
+    dataset (None: seed 0, or every dataset's default).  The statistic
+    is weighted when a dataset's covariances hold one working covariance
+    per outcome, as for :func:`~crtperm.permutation.build_stat_matrix`;
+    its point fits, one per outcome, spare the search refitting them.
+    Each dataset keeps its own streams and fits, so its entry of the
+    returned list, a dict of :class:`ConfidenceSet` by method, is bit
+    for bit that of its search alone.  A dataset whose search cannot
+    start (a point or starting nuisance fit fails) gets the
+    :class:`~crtperm.errors.CrtPermError` or ``LinAlgError`` that
+    stopped it instead, and the others search on.
     """
     if Q < MIN_SEARCH_STEPS:
         raise ValueError(f"the search needs at least {MIN_SEARCH_STEPS} steps")
+    n = len(datasets)
+    seeds = [0] * n if seeds is None else seeds
+    covariances = [None] * n if covariances is None else covariances
+    point_fits = [None] * n if point_fits is None else point_fits
     M = len(methods)
-    found: list = [None] * len(datasets)
+    found: list = [None] * n
     live, starts = [], []
     for b, dataset in enumerate(datasets):
         try:
@@ -289,7 +309,7 @@ def _search_limits(
                 f"{side} search produced a non-finite or degenerate "
                 "statistic at an extreme candidate limit; shrinking "
                 "toward the point estimate",
-                stacklevel=3,
+                stacklevel=2,
             )
     if trace:
         steps = [np.stack(a) for a in zip(*steps)]
@@ -298,14 +318,7 @@ def _search_limits(
         traces = _trace_rows(steps, M, i) if trace else [None] * M
         found[b] = {
             method: ConfidenceSet(
-                lower=rows[M + m],
-                upper=rows[m],
-                alpha=alpha,
-                method=method,
-                Q=Q,
-                seed=seeds[b],
-                point_estimates=theta[i],
-                trace=traces[m],
+                lower=rows[M + m], upper=rows[m], point_estimates=theta[i], trace=traces[m]
             )
             for m, method in enumerate(methods)
         }
@@ -328,15 +341,15 @@ def _start(dataset: TrialDataset, M: int, Q: int, seed: int, covariances, point_
     ses = np.array([f.naive_se for f in point_fits], dtype=float)
     # guard against degenerate fits: the step scale must stay positive
     ses = np.maximum(ses, 1e-9 * np.maximum(1.0, np.abs(theta)))
-    kernel = StepKernel(dataset, covariances, 2 * M, ses)
     subsets = np.concatenate(
         [sample_subsets(design, np.random.default_rng((int(seed), stream)), Q)
          for stream in range(len(SIDES))]
     )
-    drawn = sign_block(design, subsets).reshape((len(SIDES), Q) + kernel.cells).swapaxes(0, 1)
+    signs = sign_block(design, subsets)
+    drawn = signs.reshape((len(SIDES), Q) + signs.shape[1:]).swapaxes(0, 1)
     observed = sign_block(design, observed_subset(dataset)[None])
     limits = theta + np.repeat([1.0, -1.0], M)[:, None] * 2.0 * ses
-    kernel.start(limits)
+    kernel = StepKernel(dataset, covariances, limits, ses)
     return theta, kernel, limits, observed, drawn
 
 
@@ -360,82 +373,3 @@ def _trace_rows(steps: list[np.ndarray], M: int, i: int) -> list[list[tuple]]:
         traces.append(rows)
     return traces
 
-
-def rm_search(
-    dataset: TrialDataset,
-    method: str,
-    alpha: float = 0.05,
-    Q: int = 2000,
-    seed: int = 0,
-    covariances: list[CellCovariance] | None = None,
-    point_fits: list[FittedMeanModel] | None = None,
-    trace: bool = False,
-) -> ConfidenceSet:
-    """Locate simultaneous confidence limits for every outcome.
-
-    Steps the upper and the lower chain of every outcome together for Q
-    steps; each side draws from its own stream and keeps its own
-    nuisance fits, so the two are independent.  At every step the
-    nuisance parameters are re-estimated only when the candidate limit
-    has drifted more than a tenth of a standard error since the last
-    refit; the test statistics themselves are re-evaluated at the exact
-    candidate value every step.  One permutation draw per side and step
-    is shared across outcomes.
-
-    The statistic is weighted when ``covariances`` holds one working
-    covariance per outcome, as for
-    :func:`~crtperm.permutation.build_stat_matrix`.  ``point_fits`` may
-    supply precomputed unconstrained fits (one per outcome) to avoid
-    refitting when several methods are searched on the same data.  The chains draw from streams keyed by
-    ``(seed, side)``, so two methods searched with the same seed see
-    identical permutation sequences.
-    """
-    (found,) = _search_limits(
-        [dataset], [method], alpha, Q, [seed], [covariances], [point_fits], trace
-    )
-    return _raised(found)[method]
-
-
-def search_all_methods(
-    dataset: TrialDataset | list[TrialDataset],
-    methods: list[str],
-    alpha: float = 0.05,
-    Q: int = 2000,
-    seed: int | list[int] = 0,
-    covariances: list[CellCovariance] | list | None = None,
-    point_fits: list[FittedMeanModel] | list | None = None,
-    trace: bool = False,
-) -> dict[str, ConfidenceSet] | list:
-    """Search several methods at once on identical permutation draws.
-
-    Equivalent to calling :func:`rm_search` once per method with the
-    same seed, but evaluates the shared per-step statistics only once.
-
-    ``dataset`` may also be a list of datasets of one cell layout and
-    outcome links, such as a chunk of study replicates.  ``seed``,
-    ``covariances`` and ``point_fits`` then hold one entry per dataset
-    (None: every dataset's default), and one loop of Q steps moves the
-    chains of them all.  Each dataset keeps its own streams and fits,
-    so its confidence sets, which make up the returned list, are bit
-    for bit those of its search alone; a dataset whose search cannot
-    start gets the :class:`~crtperm.errors.CrtPermError` or
-    ``LinAlgError`` in their place.
-    """
-    if isinstance(dataset, TrialDataset):
-        (found,) = _search_limits(
-            [dataset], list(methods), alpha, Q, [seed], [covariances], [point_fits], trace
-        )
-        return _raised(found)
-    n = len(dataset)
-    return _search_limits(
-        list(dataset), list(methods), alpha, Q, list(seed),
-        [None] * n if covariances is None else list(covariances),
-        [None] * n if point_fits is None else list(point_fits), trace,
-    )
-
-
-def _raised(found):
-    """A single search's confidence sets, or the error that stopped it, raised."""
-    if isinstance(found, Exception):
-        raise found
-    return found

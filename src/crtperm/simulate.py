@@ -520,7 +520,7 @@ def _run_chunk(args) -> list[dict | str]:
             perm_methods,
             alpha=study.alpha,
             Q=study.n_search_steps,
-            seed=list(seeds),
+            seeds=list(seeds),
             covariances=list(covariances),
             point_fits=list(point_fits),
         )

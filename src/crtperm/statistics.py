@@ -149,20 +149,22 @@ def _check_covariances(dataset: TrialDataset, covariances) -> None:
 class StepKernel:
     """Every chain's statistic tables at its candidate delta, and their statistics.
 
-    A chain is one (row, outcome) pair: ``n_rows`` rows of the
-    dataset's outcomes, each with its own candidate delta and nuisance
-    fit.  The search's rows are its methods on the upper side, then the
-    same methods on the lower side; the permutation matrix uses one
-    row, at delta = 0.  The statistic is weighted when ``covariances``
-    holds one :class:`~crtperm.glm.CellCovariance` per outcome, built
-    for the dataset's cell layout, and unweighted when it is None.
-    :meth:`stack` joins the rows of started kernels of several datasets
-    of one cell layout and outcome links (a chunk of study replicates),
-    so that one call evaluates them all.
+    A chain is one (row, outcome) pair: the rows of ``limits``, shape
+    (rows, J), each give every outcome its own starting delta and
+    nuisance fit.  The search's rows are its methods on the upper side,
+    then the same methods on the lower side; the permutation matrix uses
+    one row, at delta = 0.  The statistic is weighted when
+    ``covariances`` holds one :class:`~crtperm.glm.CellCovariance` per
+    outcome, built for the dataset's cell layout, and unweighted when it
+    is None.  :meth:`stack` joins the rows of kernels of several
+    datasets of one cell layout and outcome links (a chunk of study
+    replicates), so that one call evaluates them all.
 
-    The kernel owns the chains' nuisance fits.  After :meth:`start`, a
-    chain refits when its delta has moved more than ``REFIT_FRACTION``
-    of its outcome's standard error in ``ses`` (never, without ``ses``).
+    The kernel owns the chains' nuisance fits.  It fits every chain at
+    its starting delta when it is built, and the first fit that fails
+    raises its error.  From then on a chain refits when its delta has
+    moved more than ``REFIT_FRACTION`` of its outcome's standard error
+    in ``ses`` (never, without ``ses``).
     The log and logit chains live in pattern tables (``parts``), one per
     group of datasets that share a pattern design; each step, the stale
     chains of a group, whatever their outcome, refit in one
@@ -170,7 +172,7 @@ class StepKernel:
     coefficients.
     """
 
-    def __init__(self, dataset: TrialDataset, covariances, n_rows: int, ses=None):
+    def __init__(self, dataset: TrialDataset, covariances, limits: np.ndarray, ses=None):
         design = dataset.design
         if design is None:
             raise ValueError("dataset has no validated design")
@@ -181,6 +183,8 @@ class StepKernel:
         C, T = design.n_clusters, design.n_periods
         self.cells = (C, T)
         tol = np.inf if ses is None else REFIT_FRACTION * np.asarray(ses, dtype=float)
+        self.refit_at = np.array(limits, dtype=float)
+        n_rows = len(self.refit_at)
         # per-row arrays, so that kernels of several datasets stack
         self.tol = np.broadcast_to(tol, (n_rows, J))
         X, _ = nuisance_design(dataset)
@@ -213,11 +217,12 @@ class StepKernel:
         # the pattern tables of the rows' log and logit chains
         self.parts = []
         if self.fitted:
-            self.parts.append(_PatternTables(dataset, X, D, covariances, self.fitted, n_rows))
+            part = _PatternTables(dataset, X, D, covariances, self.fitted, self.refit_at)
+            self.parts.append(part)
 
     @classmethod
     def stack(cls, kernels: list["StepKernel"]) -> "StepKernel":
-        """One kernel whose rows are the rows of the started ``kernels``, in order.
+        """One kernel whose rows are the rows of ``kernels``, in order.
 
         Each dataset keeps its own tables, fits and refit rule, so every
         row's statistics are those its own kernel gives.  The pattern
@@ -244,12 +249,6 @@ class StepKernel:
             offset += len(k.refit_at)
         kernel.parts = [_PatternTables.join(group) for group in groups]
         return kernel
-
-    def start(self, limits: np.ndarray) -> None:
-        """Fit every chain at its starting delta; the first fit that fails raises its error."""
-        self.refit_at = limits.copy()
-        for part in self.parts:
-            part.start(limits, self.refit_at)
 
     def tables(self, limits: np.ndarray) -> np.ndarray:
         """Cell tables of every chain at its candidate delta, shape (rows, J, C, T).
@@ -298,15 +297,18 @@ class _PatternTables:
     covariances are per row.  A single dataset's per-row arrays are
     broadcast views of its own; :meth:`join` stacks several datasets'
     into one.  A fit of chain (i, m) at delta writes delta into
-    ``refit_at[rows[m], fitted[i]]``, the kernel's refit record.
+    ``refit_at[rows[m], fitted[i]]``, the kernel's refit record.  Built,
+    the tables fit every chain at its delta in ``refit_at``, and the
+    first fit that fails raises its error.
     """
 
     #: the per-row arrays and the axis of their rows
     ROW_AXES = {"rows": 0, "Dp": 0, "counts": 0, "ysum": 1, "ybar": 1,
                 "K": 1, "sigma2": 1, "coef": 1, "eta_base": 1}
 
-    def __init__(self, dataset: TrialDataset, X, D, covariances, fitted, n_rows):
+    def __init__(self, dataset: TrialDataset, X, D, covariances, fitted, refit_at):
         specs = dataset.outcome_specs
+        n_rows = len(refit_at)
         pat = dataset.patterns
         F, P = len(fitted), len(pat.rep)
         self.fitted = np.array(fitted)
@@ -331,6 +333,11 @@ class _PatternTables:
         self.coef = np.empty((F, n_rows, X.shape[1]))
         self.eta_base = np.empty((F, n_rows, P))
         self._index()
+        i, m = (a.ravel() for a in np.indices((F, n_rows)))
+        status = self._fit(i, m, refit_at[m, self.fitted[i]], None, refit_at)
+        if status.any():
+            k = np.flatnonzero(status)[0]
+            raise fit_error(status[k], self.names[i[k]])
 
     def _index(self) -> None:
         """The chains' entries of the kernel's (rows, J) arrays, and the bins of their cells.
@@ -374,14 +381,6 @@ class _PatternTables:
                 setattr(joined, name, np.ascontiguousarray(rows))
         joined._index()
         return joined
-
-    def start(self, limits: np.ndarray, refit_at: np.ndarray) -> None:
-        """Fit every chain at its row's limit in ``limits`` (the kernel's rows)."""
-        i, m = (a.ravel() for a in np.indices(self.eta_base.shape[:2]))
-        status = self._fit(i, m, limits[self.rows[m], self.fitted[i]], None, refit_at)
-        if status.any():
-            k = np.flatnonzero(status)[0]
-            raise fit_error(status[k], self.names[i[k]])
 
     def _fit(self, i, m, deltas, start, refit_at) -> np.ndarray:
         """Fit chains (i, m) at ``deltas`` in one call; keep the good fits."""

@@ -21,7 +21,7 @@ from crtperm.permutation import (
     observed_subset,
     sign_block,
 )
-from crtperm.search import rm_search
+from crtperm.search import search_all_methods
 from crtperm.simulate import DgpSpec, StudySpec, resolve_workers, run_study
 from crtperm.statistics import StepKernel, studentize
 
@@ -306,7 +306,7 @@ class TestCriterion7InversionOracle:
         )
         fit = irls_fit(ds, 0)
         lo, hi = grid_inversion_endpoints(ds, 0, alpha=ALPHA, resolution=0.001)
-        cs = rm_search(ds, "none", alpha=ALPHA, Q=5000, seed=76)
+        cs = search_all_methods([ds], ["none"], alpha=ALPHA, Q=5000, seeds=[76])[0]["none"]
         tol = 0.05 * fit.naive_se
         ok = abs(cs.upper[0] - hi) <= tol and abs(cs.lower[0] - lo) <= tol
         _report(
@@ -350,10 +350,8 @@ class TestCriterion9PropertySuites:
                 cluster_sd=float(rng.uniform(0.05, 0.6)),
                 seed=int(rng.integers(0, 2**31)),
             )
-            kernel = StepKernel(ds, None, 1)
             null = np.zeros((1, J))
-            kernel.start(null)
-            table = kernel.tables(null)[0, 0]
+            table = StepKernel(ds, None, null).tables(null)[0, 0]
             signs = sign_block(ds.design, observed_subset(ds)[None])[0]
             # antisymmetry and studentization scale invariance
             t, t_flipped = studentize(table, np.stack([signs, -signs]))

@@ -56,7 +56,7 @@ def test_fallback_warnings_carry_the_counted_message():
     ds = make_mixed_dataset(baseline=True, seed=41)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        search_all_methods(ds, ["none", "bonferroni", "holm", "romano_wolf"], Q=400, seed=17)
+        search_all_methods([ds], ["none", "bonferroni", "holm", "romano_wolf"], Q=400, seeds=[17])
     messages = [str(w.message) for w in caught]
     assert messages, "the search did not fall back"
     for message in messages:

@@ -206,6 +206,28 @@ BAD_SETTINGS = {
     "count_fractional": ({"n_permutations": 10.5}, "n_permutations must be a whole number"),
     "too_few_search_steps": ({"n_search_steps": 50}, "n_search_steps must be >= 100"),
     "methods_string": ({"methods": "holm"}, "methods must be a list"),
+    "methods_empty": ({"methods": []}, "methods must name at least one method"),
+    "methods_repeated": ({"methods": ["holm", "none", "holm"]},
+                         "methods must not repeat a method, got ['holm', 'none', 'holm']"),
+}
+# column roles and outcomes of an analysis config that the config check refuses
+ROLES = {"cluster": "cluster", "time": "period", "treatment": "treatment"}
+BAD_ROLES = {
+    "covariates_string": ({"columns": {**ROLES, "covariates": "age"}},
+                          "columns.covariates must be a list of column names, got 'age'"),
+    "covariates_number_entry": ({"columns": {**ROLES, "covariates": ["age", 3]}},
+                                "columns.covariates must be a list of column names"),
+    "cluster_list": ({"columns": {**ROLES, "cluster": ["site"]}},
+                     "columns.cluster must be a column name, got ['site']"),
+    "treatment_number": ({"columns": {**ROLES, "treatment": 1}},
+                         "columns.treatment must be a column name, got 1"),
+    "time_list": ({"columns": {**ROLES, "time": ["period"]}},
+                  "columns.time must be a column name, got ['period']"),
+    "outcome_repeated": ({"outcomes": [{"name": "y1", "family": "gaussian"},
+                                       {"name": "y1", "family": "gaussian"}]},
+                         "outcome names must be unique, got ['y1', 'y1']"),
+    "outcome_name_list": ({"outcomes": [{"name": ["y1"], "family": "gaussian"}]},
+                          "outcome name must be a string, got ['y1']"),
 }
 # a malformed fixed covariance block for the weighted statistic, with its message
 BAD_COVARIANCES = {
@@ -253,6 +275,17 @@ class TestConfigErrors:
         ])
         self._assert_config_error(code, capsys, message)
 
+    @pytest.mark.parametrize("override, message", BAD_ROLES.values(), ids=BAD_ROLES.keys())
+    def test_analyze_column_roles_and_outcomes(self, tmp_path, capsys, override, message):
+        data, _ = _write_data(tmp_path)
+        outcomes = [{"name": "y1", "family": "gaussian"}]
+        cfg = _analysis_config(tmp_path, **{"outcomes": outcomes, **override})
+        code = main([
+            "analyze", "--data", str(data), "--config", str(cfg),
+            "--out", str(tmp_path / "o.json"),
+        ])
+        self._assert_config_error(code, capsys, message)
+
     @pytest.mark.parametrize(
         "override, message",
         [*BAD_SETTINGS.values(), *STUDY_ONLY_SETTINGS.values()],
@@ -262,6 +295,15 @@ class TestConfigErrors:
         study = _study_file(tmp_path, **override)
         code = main(["simulate", "--study", str(study), "--out", str(tmp_path / "o.json")])
         self._assert_config_error(code, capsys, message)
+
+    @pytest.mark.parametrize("flag", ["--replicates", "--seed"])
+    def test_simulate_flag_on_a_study_that_is_not_an_object(self, tmp_path, capsys, flag):
+        study = tmp_path / "study.json"
+        study.write_text("[1, 2]", encoding="utf-8")
+        code = main([
+            "simulate", "--study", str(study), "--out", str(tmp_path / "o.json"), flag, "3",
+        ])
+        self._assert_config_error(code, capsys, "study must be a JSON object")
 
     def test_simulate_negative_seed_flag(self, tmp_path, capsys):
         study = _study_file(tmp_path)

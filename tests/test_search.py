@@ -19,7 +19,6 @@ from crtperm.glm import (
 from crtperm.search import (
     StepRule,
     alpha_star_schedule,
-    rm_search,
     search_all_methods,
     step_constant,
 )
@@ -218,18 +217,19 @@ class TestRmUpdate:
 
 class TestRmSearch:
     def test_limits_bracket_point_estimate(self, gaussian_dataset):
-        cs = rm_search(gaussian_dataset, "none", Q=300, seed=1)
+        cs = search_all_methods([gaussian_dataset], ["none"], Q=300, seeds=[1])[0]["none"]
         assert np.all(cs.lower < cs.point_estimates)
         assert np.all(cs.point_estimates < cs.upper)
 
     def test_deterministic_given_seed(self, gaussian_dataset):
-        a = rm_search(gaussian_dataset, "holm", Q=200, seed=9)
-        b = rm_search(gaussian_dataset, "holm", Q=200, seed=9)
+        a = search_all_methods([gaussian_dataset], ["holm"], Q=200, seeds=[9])[0]["holm"]
+        b = search_all_methods([gaussian_dataset], ["holm"], Q=200, seeds=[9])[0]["holm"]
         assert np.array_equal(a.lower, b.lower)
         assert np.array_equal(a.upper, b.upper)
 
     def test_step_sizes_decay_like_one_over_q(self, gaussian_dataset):
-        cs = rm_search(gaussian_dataset, "none", Q=250, seed=5, trace=True)
+        (found,) = search_all_methods([gaussian_dataset], ["none"], Q=250, seeds=[5], trace=True)
+        cs = found["none"]
         prev = {}
         for side, q, j, limit, rejected, s_j in cs.trace:
             key = (side, j)
@@ -252,15 +252,15 @@ class TestRmSearch:
         )
         fit = irls_fit(ds, 0)
         lo_grid, hi_grid = grid_inversion_endpoints(ds, 0, alpha=0.05, resolution=0.002)
-        cs = rm_search(ds, "none", alpha=0.05, Q=4000, seed=11)
+        cs = search_all_methods([ds], ["none"], alpha=0.05, Q=4000, seeds=[11])[0]["none"]
         tol = 0.1 * fit.naive_se
         assert cs.upper[0] == pytest.approx(hi_grid, abs=tol)
         assert cs.lower[0] == pytest.approx(lo_grid, abs=tol)
 
     def test_stepdown_equals_uncorrected_for_single_outcome(self):
         ds = make_gaussian_dataset(n_outcomes=1, seed=19)
-        a = rm_search(ds, "none", Q=400, seed=21)
-        b = rm_search(ds, "romano_wolf", Q=400, seed=21)
+        a = search_all_methods([ds], ["none"], Q=400, seeds=[21])[0]["none"]
+        b = search_all_methods([ds], ["romano_wolf"], Q=400, seeds=[21])[0]["romano_wolf"]
         assert np.array_equal(a.lower, b.lower)
         assert np.array_equal(a.upper, b.upper)
 
@@ -270,8 +270,10 @@ class TestRmSearch:
         hits = 0
         for s in range(20):
             ds = make_gaussian_dataset(n_outcomes=2, n_clusters=8, seed=100 + s)
-            none_cs = rm_search(ds, "none", Q=1000, seed=s)
-            bonf_cs = rm_search(ds, "bonferroni", Q=1000, seed=s)
+            none_cs = search_all_methods([ds], ["none"], Q=1000, seeds=[s])[0]["none"]
+            bonf_cs = search_all_methods(
+                [ds], ["bonferroni"], Q=1000, seeds=[s]
+            )[0]["bonferroni"]
             if np.all(bonf_cs.lower <= none_cs.lower) and np.all(
                 bonf_cs.upper >= none_cs.upper
             ):
@@ -282,7 +284,7 @@ class TestRmSearch:
         # at equilibrium the chain fails to reject with probability
         # alpha*; check the tail of a long chain
         ds = make_gaussian_dataset(n_clusters=10, n_per_cluster=10, seed=23)
-        cs = rm_search(ds, "none", Q=4000, seed=3, trace=True)
+        cs = search_all_methods([ds], ["none"], Q=4000, seeds=[3], trace=True)[0]["none"]
         tail = [r for r in cs.trace if r[0] == "upper" and r[1] > 2000]
         frac_not_rejected = np.mean([not r[4] for r in tail])
         assert abs(frac_not_rejected - 0.05) < 0.05
@@ -304,8 +306,8 @@ class TestRmSearch:
         )
         ds2.design = validate_design(ds2)
         for method in ("none", "romano_wolf"):
-            a = rm_search(ds, method, Q=800, seed=31)
-            b = rm_search(ds2, method, Q=800, seed=31)
+            a = search_all_methods([ds], [method], Q=800, seeds=[31])[0][method]
+            b = search_all_methods([ds2], [method], Q=800, seeds=[31])[0][method]
             assert b.upper[0] == pytest.approx(a.upper[0] + shift, abs=0.01)
             assert b.lower[0] == pytest.approx(a.lower[0] + shift, abs=0.01)
             assert b.upper[1] == pytest.approx(a.upper[1], abs=0.01)
@@ -315,38 +317,80 @@ class TestRmSearch:
         ds = make_gaussian_dataset(
             n_clusters=6, cluster_sd=0.0, noise_sd=1e-8, seed=37
         )
-        cs = rm_search(ds, "none", Q=300, seed=5)
+        cs = search_all_methods([ds], ["none"], Q=300, seeds=[5])[0]["none"]
         assert cs.lower[0] < cs.point_estimates[0] < cs.upper[0]
         assert cs.upper[0] - cs.lower[0] < 1e-5
 
     def test_requires_minimum_steps(self, gaussian_dataset):
         with pytest.raises(ValueError, match="at least 100"):
-            rm_search(gaussian_dataset, "none", Q=50, seed=1)
+            search_all_methods([gaussian_dataset], ["none"], Q=50, seeds=[1])
 
     @pytest.mark.parametrize("kind", ["gaussian", "mixed"])
     def test_batched_search_equals_individual_searches(self, kind):
         # the mixed dataset's log and logit chains refit in batched IRLS
         # calls, whose fits must not depend on the others in their batch
-        from crtperm.search import search_all_methods
-
         if kind == "gaussian":
             ds = make_gaussian_dataset(n_outcomes=2, n_clusters=8, seed=41)
         else:
             ds = make_mixed_dataset(baseline=True, seed=41)
         methods = ["none", "bonferroni", "holm", "romano_wolf"]
-        batch = search_all_methods(ds, methods, Q=400, seed=17)
+        (batch,) = search_all_methods([ds], methods, Q=400, seeds=[17])
         for m in methods:
-            single = rm_search(ds, m, Q=400, seed=17)
+            single = search_all_methods([ds], [m], Q=400, seeds=[17])[0][m]
             assert np.array_equal(batch[m].lower, single.lower), m
             assert np.array_equal(batch[m].upper, single.upper), m
 
     def test_trace_toggle_does_not_change_limits(self):
         ds = make_gaussian_dataset(n_outcomes=2, seed=42)
-        a = rm_search(ds, "holm", Q=300, seed=19, trace=False)
-        b = rm_search(ds, "holm", Q=300, seed=19, trace=True)
+        a = search_all_methods([ds], ["holm"], Q=300, seeds=[19], trace=False)[0]["holm"]
+        b = search_all_methods([ds], ["holm"], Q=300, seeds=[19], trace=True)[0]["holm"]
         assert np.array_equal(a.lower, b.lower)
         assert np.array_equal(a.upper, b.upper)
         assert len(b.trace) == 2 * 300 * 2  # sides x steps x outcomes
+
+
+class TestSeveralDatasets:
+    """One search over a list of datasets: each entry is that dataset's search alone."""
+
+    def test_failed_start_fit_leaves_the_others_alone(self, monkeypatch):
+        datasets = [make_mixed_dataset(baseline=True, seed=s) for s in (41, 42, 43)]
+        seeds = [17, 18, 19]
+        methods = ["none", "bonferroni", "holm", "romano_wolf"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # these trials fall back
+            alone = [search_all_methods([ds], methods, Q=200, seeds=[s])[0]
+                     for ds, s in zip(datasets, seeds)]
+            original = stat_mod.pattern_irls
+            cold = []
+
+            def failing(*args):
+                coef, xb, status = original(*args)
+                # a kernel fits its chains cold (no start) once, when it is
+                # built, and the search builds them in dataset order: fail
+                # the middle dataset's logit fits
+                if args[5] is None:
+                    cold.append(args)
+                    if len(cold) == 2:
+                        status[np.asarray(args[4]) == "logit"] = FIT_NO_CONVERGENCE
+                return coef, xb, status
+
+            monkeypatch.setattr(stat_mod, "pattern_irls", failing)
+            found = search_all_methods(datasets, methods, Q=200, seeds=seeds)
+        assert len(cold) == 3
+        assert isinstance(found[1], NumericalError)
+        assert "'y3'" in str(found[1]) and "did not converge" in str(found[1])
+        for b in (0, 2):
+            for m in methods:
+                assert np.array_equal(found[b][m].lower, alone[b][m].lower), (b, m)
+                assert np.array_equal(found[b][m].upper, alone[b][m].upper), (b, m)
+
+    def test_fallback_warning_names_the_caller(self):
+        ds, _ = _pin_datasets()["mixed"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            search_all_methods([ds], PIN_METHODS, Q=400, seeds=[17])
+        assert caught, "the search did not fall back"
+        assert [w.filename for w in caught] == [__file__] * len(caught)
 
 
 def _working_specs(ds, seed):
@@ -400,8 +444,7 @@ class TestStepKernel:
         shape = (n_chains, ds.n_outcomes)
         refit_at = theta + rng.uniform(-3.0, 3.0, shape) * se
         limits = refit_at + rng.uniform(-0.5, 0.5, shape) * se
-        kernel = StepKernel(ds, covs, n_chains, se if refit else None)
-        kernel.start(refit_at)
+        kernel = StepKernel(ds, covs, refit_at, se if refit else None)
         return kernel, refit_at, limits, specs
 
     @pytest.mark.parametrize("kind", ["unweighted", "weighted"])
@@ -496,8 +539,7 @@ class TestStackedKernel:
         se = np.array([f.naive_se for f in fits])
         rng = np.random.default_rng(seed)
         limits = theta + rng.uniform(-2.0, 2.0, (self.N_ROWS, ds.n_outcomes)) * se
-        kernel = StepKernel(ds, covs, self.N_ROWS, se)
-        kernel.start(limits)
+        kernel = StepKernel(ds, covs, limits, se)
         return kernel, limits, se
 
     def _assert_stack_matches(self, datasets, covariances, n_parts):
@@ -562,7 +604,9 @@ def _pin_record(ds, covs) -> dict:
     """One traced search of every method, as JSON: limits in ``float.hex``."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        sets = search_all_methods(ds, PIN_METHODS, Q=400, seed=17, covariances=covs, trace=True)
+        (sets,) = search_all_methods(
+            [ds], PIN_METHODS, Q=400, seeds=[17], covariances=[covs], trace=True
+        )
     messages = [str(w.message) for w in caught]
     record = {
         "warnings": {side: [m for m in messages if m.split()[0] == side]

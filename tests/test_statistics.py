@@ -41,10 +41,8 @@ def _tables(ds, spec=None, delta=0.0):
     covariances = None
     if spec is not None:
         covariances = [build_cluster_covariance(spec, ds.cell_counts)] * ds.n_outcomes
-    kernel = StepKernel(ds, covariances, 1)
     at = np.full((1, ds.n_outcomes), delta)
-    kernel.start(at)
-    return kernel.tables(at)[0]
+    return StepKernel(ds, covariances, at).tables(at)[0]
 
 
 class TestUnweightedStat:
@@ -151,7 +149,7 @@ class TestWeightedStat:
         spec = CovarianceSpec("exchangeable", sigma2=1.0, tau2=0.1)
         other = build_cluster_covariance(spec, np.array([[3], [2]]))
         with pytest.raises(ValueError, match="outcome 0 was not built for this dataset"):
-            StepKernel(ds, [other], 1)
+            StepKernel(ds, [other], np.zeros((1, ds.n_outcomes)))
 
 
 class TestResidualsUnderNull:

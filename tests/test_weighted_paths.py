@@ -18,7 +18,7 @@ from crtperm.glm import (
     irls_fit,
 )
 from crtperm.permutation import PermutationPlan, build_stat_matrix
-from crtperm.search import rm_search, search_all_methods
+from crtperm.search import search_all_methods
 from crtperm.simulate import DgpSpec, StudySpec, StudyFailureError, gen_model2, run_study
 
 from conftest import make_gaussian_dataset, make_mixed_dataset
@@ -97,10 +97,10 @@ class TestWeightedMatrix:
 class TestWeightedSearch:
     def test_scalar_covariance_reproduces_unweighted_chains(self):
         ds = make_gaussian_dataset(n_outcomes=2, seed=45)
-        a = rm_search(ds, "romano_wolf", Q=300, seed=6)
-        b = rm_search(
-            ds, "romano_wolf", Q=300, seed=6, covariances=_scalar_covariances(ds),
-        )
+        a = search_all_methods([ds], ["romano_wolf"], Q=300, seeds=[6])[0]["romano_wolf"]
+        b = search_all_methods(
+            [ds], ["romano_wolf"], Q=300, seeds=[6], covariances=[_scalar_covariances(ds)],
+        )[0]["romano_wolf"]
         assert np.allclose(a.lower, b.lower, atol=1e-10)
         assert np.allclose(a.upper, b.upper, atol=1e-10)
 
@@ -111,7 +111,7 @@ class TestWeightedSearch:
             s2, t2 = estimate_variance_components(ds, j, irls_fit(ds, j))
             spec = CovarianceSpec("exchangeable", sigma2=max(s2, 1e-6), tau2=t2)
             covs.append(build_cluster_covariance(spec, ds.cell_counts))
-        cs = rm_search(ds, "holm", Q=300, seed=7, covariances=covs)
+        cs = search_all_methods([ds], ["holm"], Q=300, seeds=[7], covariances=[covs])[0]["holm"]
         assert np.all(cs.lower < cs.point_estimates)
         assert np.all(cs.point_estimates < cs.upper)
 
@@ -131,7 +131,9 @@ class TestWeightedMemory:
             build_stat_matrix(ds, PermutationPlan(n_draws=50, seed=1), covariances=covs)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")  # fallback warnings of a 4-cluster search
-                search_all_methods(ds, ["none", "romano_wolf"], Q=100, seed=2, covariances=covs)
+                search_all_methods(
+                    [ds], ["none", "romano_wolf"], Q=100, seeds=[2], covariances=[covs]
+                )
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
